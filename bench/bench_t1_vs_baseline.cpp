@@ -16,7 +16,7 @@
 //     optimality on an instance that favours the baseline. (The literal
 //     B-factor *lower* bound for [2,3] stems from their committee-drift
 //     construction, which the modernized star reconstruction does not
-//     exhibit — see EXPERIMENTS.md.)
+//     exhibit, so no row here reproduces that gap.)
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.hpp"

@@ -1,4 +1,6 @@
-// T4 — ablations of the design choices DESIGN.md calls out.
+// T4 — ablations of the protocol's defenses against dishonest players:
+// vote redundancy, cluster-formation slack, the capped edge threshold and a
+// fresh leader per repeat.
 //
 // Each row removes one defense and measures the damage under the same
 // Byzantine workload (sleepers at the n/(3B) bound on planted clusters):

@@ -1,4 +1,6 @@
-// Comparators for the evaluation (DESIGN §4, experiments T1/T2).
+// Comparators for the evaluation: the reference points the T1/T2 benches
+// (bench_t1_vs_baseline, bench_t2_scoreboard) rank the Fig. 2 protocol
+// against, from both degenerate corners to the prior art.
 //
 //  * probe_all       — the trivial B = n algorithm: every player probes
 //                      every object. Zero error, maximal probes.

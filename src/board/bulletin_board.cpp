@@ -66,39 +66,44 @@ std::vector<ProbeReport> BulletinBoard::all_reports(std::uint64_t tag) const {
   return out;
 }
 
-void BulletinBoard::post_vector(std::uint64_t tag, PlayerId author, BitVector vector) {
+void BulletinBoard::post_vector(std::uint64_t tag, PlayerId author,
+                                ConstBitRow vector) {
   VectorShard& shard = vector_shards_[tag % kShards];
   std::lock_guard lock(shard.mutex);
-  shard.by_tag[tag].push_back(VectorPost{author, std::move(vector)});
+  shard.by_tag[tag].append(author, vector);
   vector_count_.fetch_add(1, std::memory_order_relaxed);
 }
 
 BulletinBoard::VectorChannelWriter BulletinBoard::vector_channel(std::uint64_t tag) {
   VectorShard& shard = vector_shards_[tag % kShards];
   std::unique_lock lock(shard.mutex);
-  std::vector<VectorPost>& bucket = shard.by_tag[tag];
-  return VectorChannelWriter(std::move(lock), bucket, vector_count_);
+  VectorChannel& channel = shard.by_tag[tag];
+  return VectorChannelWriter(std::move(lock), channel, vector_count_);
 }
 
 std::vector<VectorPost> BulletinBoard::vectors(std::uint64_t tag) const {
   const VectorShard& shard = vector_shards_[tag % kShards];
   std::lock_guard lock(shard.mutex);
+  std::vector<VectorPost> out;
   auto it = shard.by_tag.find(tag);
-  return it == shard.by_tag.end() ? std::vector<VectorPost>{} : it->second;
+  if (it == shard.by_tag.end()) return out;
+  const VectorChannel& channel = it->second;
+  out.reserve(channel.size());
+  for (std::size_t i = 0; i < channel.size(); ++i)
+    out.push_back(VectorPost{channel.authors[i], BitVector(channel.row(i))});
+  return out;
 }
 
 std::vector<BulletinBoard::SupportedVector> BulletinBoard::vectors_by_support(
     std::uint64_t tag) const {
-  // Count support in place under the shard lock: the full post list used to
-  // be deep-copied first, which dominated ZeroRadius merges (every posted
-  // vector copied once per support query). Only distinct vectors are copied
-  // out.
+  // Count support in place under the shard lock: rows are hashed and
+  // compared inside the packed store, and only the distinct vectors are
+  // copied out.
   const VectorShard& shard = vector_shards_[tag % kShards];
   std::lock_guard lock(shard.mutex);
-  static const std::vector<VectorPost> kNoPosts;
   auto it = shard.by_tag.find(tag);
-  const std::vector<VectorPost>& posts = it == shard.by_tag.end() ? kNoPosts
-                                                                  : it->second;
+  if (it == shard.by_tag.end()) return {};
+  const VectorChannel& channel = it->second;
   // Distinct-vector dedup: a flat hash list scanned linearly while the
   // distinct count stays small (the overwhelmingly common case — support
   // channels converge on a handful of vectors), with a hash-map fallback
@@ -108,12 +113,13 @@ std::vector<BulletinBoard::SupportedVector> BulletinBoard::vectors_by_support(
   std::vector<std::uint64_t> hashes;
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> by_hash;
   bool use_map = false;
-  for (const VectorPost& post : posts) {
-    const std::uint64_t h = post.vector.content_hash();
+  for (std::size_t i = 0; i < channel.size(); ++i) {
+    const ConstBitRow row = channel.row(i);
+    const std::uint64_t h = row.content_hash();
     bool found = false;
     if (!use_map) {
       for (std::size_t idx = 0; idx < out.size(); ++idx) {
-        if (hashes[idx] == h && out[idx].vector == post.vector) {
+        if (hashes[idx] == h && out[idx].vector == row) {
           ++out[idx].support;
           found = true;
           break;
@@ -121,7 +127,7 @@ std::vector<BulletinBoard::SupportedVector> BulletinBoard::vectors_by_support(
       }
     } else {
       for (std::size_t idx : by_hash[h]) {
-        if (out[idx].vector == post.vector) {
+        if (out[idx].vector == row) {
           ++out[idx].support;
           found = true;
           break;
@@ -137,7 +143,7 @@ std::vector<BulletinBoard::SupportedVector> BulletinBoard::vectors_by_support(
       }
       if (use_map) by_hash[h].push_back(out.size());
       hashes.push_back(h);
-      out.push_back(SupportedVector{post.vector, 1});
+      out.push_back(SupportedVector{BitVector(row), 1});
     }
   }
   std::stable_sort(out.begin(), out.end(),

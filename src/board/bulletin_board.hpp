@@ -17,6 +17,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/assert.hpp"
 #include "src/common/bitvector.hpp"
 #include "src/common/types.hpp"
 
@@ -58,8 +59,39 @@ class BulletinBoard {
   std::vector<ProbeReport> all_reports(std::uint64_t tag) const;
 
   // ---- vector channel ---------------------------------------------------
-  void post_vector(std::uint64_t tag, PlayerId author, BitVector vector);
+  /// Appends `author`'s claim `vector` to channel `tag`. A channel's first
+  /// post fixes its width; every later post must have the same width.
+  /// Takes a view, so a BitVector, a BitMatrix row or a PreferenceMatrix row
+  /// posts without an intermediate copy.
+  void post_vector(std::uint64_t tag, PlayerId author, ConstBitRow vector);
 
+ private:
+  // One vector channel as packed columns. The board is append-only, so every
+  // post stays resident until the board dies and the layout sets a run's
+  // memory floor: a post costs its author id plus word_count(width) words
+  // (12 bytes for 64 bits or fewer) instead of a 40-byte VectorPost. Row i
+  // occupies words[i * stride(), (i + 1) * stride()).
+  struct VectorChannel {
+    std::size_t width = 0;  // bits per post, fixed by the first post
+    std::vector<PlayerId> authors;
+    std::vector<std::uint64_t> words;
+
+    std::size_t size() const noexcept { return authors.size(); }
+    std::size_t stride() const noexcept { return bitkernel::word_count(width); }
+    ConstBitRow row(std::size_t i) const noexcept {
+      return ConstBitRow(words.data() + i * stride(), width);
+    }
+    void append(PlayerId author, ConstBitRow vector) {
+      if (authors.empty()) width = vector.size();
+      CS_ASSERT(vector.size() == width,
+                "BulletinBoard: vector post width differs from the channel's width");
+      authors.push_back(author);
+      const std::span<const std::uint64_t> w = vector.words();
+      words.insert(words.end(), w.begin(), w.end());
+    }
+  };
+
+ public:
   /// Locked appender for a serial publication loop: one shard lock and one
   /// bucket lookup amortized over every post to the channel. Board state is
   /// identical to calling post_vector per player in the same order. Holds
@@ -67,24 +99,24 @@ class BulletinBoard {
   /// touch other board channels while it lives.
   class VectorChannelWriter {
    public:
-    void post(PlayerId author, BitVector vector) {
-      bucket_->push_back(VectorPost{author, std::move(vector)});
+    void post(PlayerId author, ConstBitRow vector) {
+      channel_->append(author, vector);
       count_->fetch_add(1, std::memory_order_relaxed);
     }
 
    private:
     friend class BulletinBoard;
-    VectorChannelWriter(std::unique_lock<std::mutex> lock,
-                        std::vector<VectorPost>& bucket,
+    VectorChannelWriter(std::unique_lock<std::mutex> lock, VectorChannel& channel,
                         std::atomic<std::uint64_t>& count)
-        : lock_(std::move(lock)), bucket_(&bucket), count_(&count) {}
+        : lock_(std::move(lock)), channel_(&channel), count_(&count) {}
     std::unique_lock<std::mutex> lock_;
-    std::vector<VectorPost>* bucket_;
+    VectorChannel* channel_;
     std::atomic<std::uint64_t>* count_;
   };
   VectorChannelWriter vector_channel(std::uint64_t tag);
 
-  /// All vector posts on channel `tag` (posting order per shard).
+  /// All vector posts on channel `tag` in posting order, copied out of the
+  /// packed store (a cold path: the protocols read support counts instead).
   std::vector<VectorPost> vectors(std::uint64_t tag) const;
 
   /// Distinct vectors on channel `tag` with their support counts, most
@@ -108,7 +140,7 @@ class BulletinBoard {
   };
   struct VectorShard {
     mutable std::mutex mutex;
-    std::unordered_map<std::uint64_t, std::vector<VectorPost>> by_tag;
+    std::unordered_map<std::uint64_t, VectorChannel> by_tag;
   };
 
   static std::uint64_t report_key(std::uint64_t tag, ObjectId object);

@@ -88,9 +88,10 @@ class ProbeOracle {
   void adversary_peek_gather(PlayerId p, std::span<const ObjectId> objects,
                              BitRow out) const;
 
-  /// Reads truth WITHOUT charging. Only adversaries use this (the paper's
-  /// Byzantine players are omniscient, see DESIGN §2); honest protocol code
-  /// must never call it — tests enforce this by budget accounting.
+  /// Reads truth WITHOUT charging. Only adversaries use this: the paper's
+  /// Byzantine players are omniscient (§2 grants them every preference, so a
+  /// free read only makes the simulated adversary stronger); honest protocol
+  /// code must never call it — tests enforce this by budget accounting.
   bool adversary_peek(PlayerId p, ObjectId o) const { return read_bit(p, o); }
 
   std::uint64_t probes_by(PlayerId p) const;

@@ -5,9 +5,10 @@
 //                   dishonest -> free omniscient lie)
 //   * publication: obtain the vector a player publishes for an object subset.
 //
-// Centralizing these keeps the information-flow rules (DESIGN §2) in one
-// place: honest players pay probes and never lie; dishonest players never
-// pay and may say anything.
+// Centralizing these keeps the paper's information-flow rules (§2: a player
+// learns a preference only by probing it, while Byzantine players are
+// omniscient) in one place: honest players pay probes and never lie;
+// dishonest players never pay and may say anything.
 #pragma once
 
 #include <functional>

@@ -62,7 +62,8 @@ SelectOutcome select_deterministic(PlayerId p, std::span<const BitVector> candid
 /// tournament on the finalists only. Probe cost is
 /// O(prefilter_probes + max_finalists^2 * probes_per_pair) instead of
 /// O(k^2 * probes_per_pair); a candidate within O(D) of the best survives the
-/// prefilter whp (an engineering refinement documented in DESIGN.md §3).
+/// prefilter whp. This is an engineering refinement, not in the paper: the
+/// full tournament's k^2 pairwise probes would dominate SmallRadius's bill.
 SelectOutcome select_prefiltered(PlayerId p, std::span<const ConstBitRow> candidates,
                                  std::span<const ObjectId> objects, ProtocolEnv& env,
                                  std::uint64_t phase_key, std::size_t probes_per_pair,

@@ -107,7 +107,7 @@ SmallRadiusResult small_radius(std::span<const PlayerId> players,
         auto writer = env.board.vector_channel(channel);
         for (std::size_t i = 0; i < players.size(); ++i) {
           if (env.population.is_honest(players[i])) {
-            writer.post(players[i], std::move(zr_out.outputs[i]));
+            writer.post(players[i], zr_out.outputs[i]);
             continue;
           }
           Rng prng = env.local_rng(players[i], channel);

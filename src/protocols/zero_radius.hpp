@@ -5,13 +5,14 @@
 // then each player adopts its opposite-half vector from the published
 // outputs by support voting plus an elimination-probing loop.
 //
-// Deviations from the paper's pseudocode (documented in DESIGN.md §3):
+// Deviations from the paper's pseudocode:
 //   * The elimination loop is capped (`elim_cap` probes); on cap overflow or
 //     full elimination the player falls back to the highest-support
 //     candidate patched with its own probed bits. The precondition only
 //     holds approximately when SmallRadius invokes us on noisy sub-universes,
 //     and the caller's Select step absorbs the O(D) residual.
-//   * Degenerate random partitions are re-drawn (bounded retries).
+//   * Degenerate random partitions are re-drawn (bounded retries): a
+//     halving with an empty side would recurse on the same universe.
 #pragma once
 
 #include <span>

@@ -114,15 +114,122 @@ TEST(BulletinBoard, VectorChannel) {
   EXPECT_EQ(by_support[1].vector, w);
 }
 
-TEST(BulletinBoard, SupportTieBreaksByFirstAppearance) {
+// ---- packed vector channels ------------------------------------------------
+// A channel stores its posts as an author column plus one word arena whose
+// stride is fixed by the first post's width; these pin that the packing is
+// invisible to readers.
+
+TEST(BulletinBoard, PackedChannelKeepsPostingOrderAcrossWriters) {
   BulletinBoard board;
-  BitVector a(4), b(4);
-  b.set(0, true);
-  board.post_vector(1, 0, a);
-  board.post_vector(1, 1, b);
-  const auto by_support = board.vectors_by_support(1);
-  ASSERT_EQ(by_support.size(), 2u);
-  EXPECT_EQ(by_support[0].vector, a);
+  Rng rng(0x9ac4);
+  std::vector<BitVector> posted;
+  for (int i = 0; i < 6; ++i) posted.push_back(random_bitvector(70, rng));
+  board.post_vector(5, 0, posted[0]);
+  {
+    auto writer = board.vector_channel(5);
+    writer.post(1, posted[1]);
+    writer.post(2, posted[2]);
+  }
+  board.post_vector(5, 3, posted[3]);
+  {
+    auto writer = board.vector_channel(5);
+    writer.post(4, posted[4]);
+  }
+  board.post_vector(5, 5, posted[5]);
+
+  const auto posts = board.vectors(5);
+  ASSERT_EQ(posts.size(), posted.size());
+  for (std::size_t i = 0; i < posts.size(); ++i) {
+    EXPECT_EQ(posts[i].author, i) << "post " << i;
+    EXPECT_EQ(posts[i].vector, posted[i]) << "post " << i;
+  }
+  EXPECT_EQ(board.vector_count(), posted.size());
+}
+
+TEST(BulletinBoard, PackedChannelRoundTripsEveryWidth) {
+  // 0/1/64 bits fit one (or no) word, 65 and 192 the inline BitVector form,
+  // 193 and 2048 its heap form; each width gets its own channel.
+  BulletinBoard board;
+  Rng rng(0x3d1);
+  std::uint64_t expected_count = 0;
+  for (const std::size_t width : {0u, 1u, 64u, 65u, 192u, 193u, 2048u}) {
+    const std::uint64_t tag = 100 + width;
+    std::vector<BitVector> posted;
+    for (PlayerId p = 0; p < 4; ++p) posted.push_back(random_bitvector(width, rng));
+    posted.push_back(posted[1]);  // a repeat, so support counting has work
+    {
+      auto writer = board.vector_channel(tag);
+      for (PlayerId p = 0; p < 3; ++p) writer.post(p, posted[p]);
+    }
+    for (PlayerId p = 3; p < posted.size(); ++p) board.post_vector(tag, p, posted[p]);
+    expected_count += posted.size();
+
+    const auto posts = board.vectors(tag);
+    ASSERT_EQ(posts.size(), posted.size()) << "width " << width;
+    for (std::size_t i = 0; i < posts.size(); ++i) {
+      EXPECT_EQ(posts[i].author, i) << "width " << width;
+      ASSERT_EQ(posts[i].vector.size(), width);
+      EXPECT_EQ(posts[i].vector.to_string(), posted[i].to_string())
+          << "width " << width << " post " << i;
+    }
+    const auto ranked = board.vectors_by_support(tag);
+    ASSERT_FALSE(ranked.empty());
+    EXPECT_EQ(ranked.front().vector, posted[1]) << "width " << width;
+    std::size_t support = 0;
+    for (const auto& sv : ranked) {
+      EXPECT_EQ(sv.vector.size(), width);
+      support += sv.support;
+    }
+    EXPECT_EQ(support, posted.size());
+  }
+  EXPECT_EQ(board.vector_count(), expected_count);
+}
+
+TEST(BulletinBoard, SupportTieBreaksByFirstAppearance) {
+  // Ties at two support levels, on both the flat dedup path (few distinct
+  // vectors) and the hash-map path (more than its 48-entry flat limit).
+  for (const std::size_t extra_singletons : {0u, 60u}) {
+    BulletinBoard board;
+    Rng rng(0x7e5 + extra_singletons);
+    std::vector<BitVector> pool;
+    for (std::size_t i = 0; i < 4 + extra_singletons; ++i)
+      pool.push_back(random_bitvector(40, rng));
+    // Posting order: c a b a c b d [singletons...] -> c, a, b twice; d once.
+    const BitVector &a = pool[0], &b = pool[1], &c = pool[2], &d = pool[3];
+    std::vector<BitVector> order{c, a, b, a, c, b, d};
+    for (std::size_t i = 4; i < pool.size(); ++i) order.push_back(pool[i]);
+    for (std::size_t i = 0; i < order.size(); ++i)
+      board.post_vector(9, static_cast<PlayerId>(i), order[i]);
+
+    const auto ranked = board.vectors_by_support(9);
+    ASSERT_EQ(ranked.size(), pool.size());
+    EXPECT_EQ(ranked[0].vector, c);
+    EXPECT_EQ(ranked[1].vector, a);
+    EXPECT_EQ(ranked[2].vector, b);
+    EXPECT_EQ(ranked[3].vector, d);
+    for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(ranked[i].support, 2u);
+    for (std::size_t i = 3; i < ranked.size(); ++i) {
+      EXPECT_EQ(ranked[i].support, 1u);
+      EXPECT_EQ(ranked[i].vector, pool[i]) << "rank " << i;
+    }
+    EXPECT_EQ(board.vector_count(), order.size());
+  }
+}
+
+TEST(BulletinBoard, PackedChannelRejectsWidthMismatch) {
+  BulletinBoard board;
+  board.post_vector(3, 0, BitVector(16));
+  EXPECT_DEATH(board.post_vector(3, 1, BitVector(17)),
+               "vector post width differs from the channel's width");
+  EXPECT_DEATH(
+      {
+        auto writer = board.vector_channel(3);
+        writer.post(1, BitVector(15));
+      },
+      "vector post width differs from the channel's width");
+  // A different channel fixes its own width.
+  board.post_vector(4, 0, BitVector(17));
+  EXPECT_EQ(board.vector_count(), 2u);
 }
 
 TEST(BulletinBoard, AllReportsCollectsChannel) {

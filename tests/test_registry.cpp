@@ -337,5 +337,49 @@ TEST(Registry, NewAdversaryRunsEndToEndWithoutEnumChanges) {
   EXPECT_LE(out.error.max_error, 64u);
 }
 
+TEST(Registry, EveryAdversaryPublishesAtTheHonestWidth) {
+  // The board packs each vector channel at the width of its first post, so a
+  // dishonest publication must be exactly as wide as the honest vector it
+  // stands in for, in every phase that publishes: sample answers (the
+  // sample_and_share baseline), ZeroRadius cross-adoption and SmallRadius
+  // subset outputs. Iterates the live registry, test-registered entries
+  // included.
+  constexpr Phase kPublishingPhases[] = {Phase::kSample, Phase::kZeroRadius,
+                                         Phase::kSmallRadius};
+  for (const std::string& name : AdversaryRegistry::instance().names()) {
+    const Scenario sc = Scenario::resolve(ScenarioSpec::parse(
+        "adversary=" + name + " n=256 budget=4 dishonest=16 seed=5 opt=0"));
+    const World world = build_scenario_world(sc);
+    const Population pop = build_scenario_population(sc, world);
+    const std::vector<PlayerId> dishonest = pop.dishonest_players();
+    if (AdversaryRegistry::instance().at(name).make) {
+      EXPECT_FALSE(dishonest.empty()) << name;
+    }
+
+    Rng rng(0x1d7);
+    std::vector<ObjectId> universe(world.n_objects());
+    for (ObjectId o = 0; o < universe.size(); ++o) universe[o] = o;
+    // One-word, multi-word inline and heap-backed BitVector widths.
+    for (const std::size_t width : {std::size_t{1}, std::size_t{64},
+                                    std::size_t{65}, std::size_t{193},
+                                    world.n_objects()}) {
+      ASSERT_LE(width, universe.size());
+      for (std::size_t i = 0; i < width; ++i)
+        std::swap(universe[i], universe[i + rng.below(universe.size() - i)]);
+      const std::span<const ObjectId> objects(universe.data(), width);
+      const BitVector honest = random_bitvector(width, rng);
+      for (const Phase phase : kPublishingPhases) {
+        for (const PlayerId p : dishonest) {
+          const BitVector published =
+              pop.publication(p, honest, objects, ReportContext{phase, 7}, rng);
+          EXPECT_EQ(published.size(), width)
+              << name << " player " << p << " phase "
+              << static_cast<int>(phase);
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace colscore
