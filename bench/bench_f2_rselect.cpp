@@ -43,8 +43,8 @@ void BM_RSelect(benchmark::State& state) {
         c.flip_random(crng, best_dist * (i + 1));  // best is candidate 0
         candidates.push_back(std::move(c));
       }
-      const SelectOutcome out =
-          rselect(0, candidates, objects, env, seed, probes_per_pair);
+      const std::vector<ConstBitRow> views(candidates.begin(), candidates.end());
+      const SelectOutcome out = rselect(0, views, objects, env, seed, probes_per_pair);
       const double chosen_dist =
           static_cast<double>(world.matrix.row(0).hamming(candidates[out.chosen]));
       ratio_total += chosen_dist / static_cast<double>(best_dist);

@@ -41,17 +41,8 @@ void ProbeOracle::probe_row(PlayerId p, ObjectId first_object, std::size_t n,
   truth_->fill_row_words(p, first_object, n, out.word_data());
 }
 
-void ProbeOracle::gather_into(PlayerId p, std::span<const ObjectId> objects,
-                              BitRow out) const {
-  // Packed sources gather straight off the row with inline word math.
-  if (packed_ != nullptr) {
-    const std::uint64_t* row = packed_ + p * packed_stride_;
-    for (std::size_t i = 0; i < objects.size(); ++i) {
-      CS_ASSERT(objects[i] < n_objects_, "probe_gather: bad object id");
-      out.set(i, (row[objects[i] / 64] >> (objects[i] % 64)) & 1ULL);
-    }
-    return;
-  }
+void ProbeOracle::gather_unpacked(PlayerId p, std::span<const ObjectId> objects,
+                                  BitRow out) const {
   const std::size_t row_words = bitkernel::word_count(n_objects_);
   // A staged full-row read costs ~row_words word writes once; per-bit reads
   // cost one virtual call each. Stage whenever the slate is at least a
@@ -79,15 +70,6 @@ void ProbeOracle::gather_into(PlayerId p, std::span<const ObjectId> objects,
   }
 }
 
-void ProbeOracle::probe_gather(PlayerId p, std::span<const ObjectId> objects,
-                               BitRow out) {
-  CS_ASSERT(p < counts_.size(), "probe_gather: bad player id");
-  CS_ASSERT(out.size() >= objects.size(), "probe_gather: output too small");
-  if (objects.empty()) return;
-  charge(p, objects.size());
-  gather_into(p, objects, out);
-}
-
 void ProbeOracle::adversary_peek_row(PlayerId p, ObjectId first_object,
                                      std::size_t n, BitRow out) const {
   CS_ASSERT(out.size() == n, "adversary_peek_row: output size mismatch");
@@ -100,13 +82,6 @@ void ProbeOracle::adversary_peek_row(PlayerId p, ObjectId first_object,
     return;
   }
   truth_->fill_row_words(p, first_object, n, out.word_data());
-}
-
-void ProbeOracle::adversary_peek_gather(PlayerId p,
-                                        std::span<const ObjectId> objects,
-                                        BitRow out) const {
-  CS_ASSERT(out.size() >= objects.size(), "adversary_peek_gather: output too small");
-  gather_into(p, objects, out);
 }
 
 std::uint64_t ProbeOracle::probes_by(PlayerId p) const {

@@ -4,12 +4,14 @@
 // claims (Lemmas 10-11) are measured, not estimated.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "src/common/assert.hpp"
+#include "src/common/bitkernels.hpp"
 #include "src/common/bitvector.hpp"
 #include "src/common/exec_policy.hpp"
 #include "src/common/types.hpp"
@@ -75,18 +77,29 @@ class ProbeOracle {
 
   /// Batched scattered probe: bit i of `out` = v(p)_objects[i], charging
   /// objects.size() probes at once (duplicates pay, like repeated probe()
-  /// calls without a memo). For slates big enough to amortize it, the truth
-  /// row is staged once through fill_row_words and the bits are extracted
-  /// locally; small slates read per bit. `out` must view at least
-  /// objects.size() bits.
-  void probe_gather(PlayerId p, std::span<const ObjectId> objects, BitRow out);
+  /// calls without a memo). On a packed source the bits are gathered off
+  /// the row a word at a time, inline; otherwise, for slates big enough to
+  /// amortize it, the truth row is staged once through fill_row_words and
+  /// the bits are extracted locally, and small slates read per bit. `out`
+  /// must view at least objects.size() bits.
+  void probe_gather(PlayerId p, std::span<const ObjectId> objects, BitRow out) {
+    CS_ASSERT(p < counts_.size(), "probe_gather: bad player id");
+    CS_ASSERT(out.size() >= objects.size(), "probe_gather: output too small");
+    if (objects.empty()) return;
+    charge(p, objects.size());
+    gather_into(p, objects, out);
+  }
 
   /// Uncharged forms of the two bulk reads above, for dishonest players
   /// (same rationale as adversary_peek).
   void adversary_peek_row(PlayerId p, ObjectId first_object, std::size_t n,
                           BitRow out) const;
   void adversary_peek_gather(PlayerId p, std::span<const ObjectId> objects,
-                             BitRow out) const;
+                             BitRow out) const {
+    CS_ASSERT(out.size() >= objects.size(), "adversary_peek_gather: output too small");
+    if (objects.empty()) return;
+    gather_into(p, objects, out);
+  }
 
   /// Reads truth WITHOUT charging. Only adversaries use this: the paper's
   /// Byzantine players are omniscient (§2 grants them every preference, so a
@@ -146,7 +159,32 @@ class ProbeOracle {
     return truth_->preference(p, o);
   }
 
-  void gather_into(PlayerId p, std::span<const ObjectId> objects, BitRow out) const;
+  /// Gathers a non-empty slate into `out`. Packed sources assemble each
+  /// chunk of 64 objects in a register and store it as one word; the last,
+  /// partial word keeps out's bits past the slate. Other sources go through
+  /// gather_unpacked.
+  void gather_into(PlayerId p, std::span<const ObjectId> objects, BitRow out) const {
+    if (packed_ == nullptr) {
+      gather_unpacked(p, objects, out);
+      return;
+    }
+    const std::uint64_t* row = packed_ + p * packed_stride_;
+    std::uint64_t* dst = out.word_data();
+    for (std::size_t base = 0; base < objects.size(); base += bitkernel::kWordBits) {
+      const std::size_t len = std::min(objects.size() - base, bitkernel::kWordBits);
+      std::uint64_t bits = 0;
+      for (std::size_t i = 0; i < len; ++i) {
+        const ObjectId o = objects[base + i];
+        CS_ASSERT(o < n_objects_, "probe_gather: bad object id");
+        bits |= ((row[o / bitkernel::kWordBits] >> (o % bitkernel::kWordBits)) & 1ULL) << i;
+      }
+      const std::uint64_t keep = len == bitkernel::kWordBits ? 0 : ~0ULL << len;
+      std::uint64_t& word = dst[base / bitkernel::kWordBits];
+      word = (word & keep) | bits;
+    }
+  }
+  /// gather_into for sources without packed rows: staged or per-bit reads.
+  void gather_unpacked(PlayerId p, std::span<const ObjectId> objects, BitRow out) const;
 
   const TruthSource* truth_;
   BudgetMode mode_;

@@ -44,7 +44,7 @@ struct RunWorkspace {
   // ---- oracle probe staging (ProbeOracle bulk reads) -----------------------
   std::vector<std::uint64_t> probe_row_words;  // one full truth row, packed
 
-  // ---- Select tournament (select.cpp run_tournament) -----------------------
+  // ---- Select tournament (select.cpp play_general) -------------------------
   std::vector<std::uint64_t> sel_probed_words;  // probed? plane
   std::vector<std::uint64_t> sel_value_words;   // own-bit plane
   std::vector<std::uint64_t> sel_batch_words;   // batched probe results

@@ -58,20 +58,20 @@ struct ProtocolEnv {
   }
 
   /// Learn an arbitrary object slate into a BitRow: bit i = v(p)_objects[i].
-  /// Contiguous ascending slates take the word path (probe_row); scattered
-  /// ones go through the batched gather. Charges are identical to probing
-  /// the slate object by object with no memo (duplicates pay).
+  /// Contiguous ascending slates of more than 64 objects take the word path
+  /// (probe_row); every other slate (Select's per-pair batches, single
+  /// probes of elimination loops) is one gather, inline off a packed truth
+  /// row. Charges are identical to probing the slate object by object with
+  /// no memo (duplicates pay).
   void own_probe_bits(PlayerId p, std::span<const ObjectId> objects, BitRow out) {
-    if (objects.size() == 1) {  // common in elimination-style probing
-      out.set(0, own_probe(p, objects.front()));
-      return;
-    }
-    bool contiguous = !objects.empty();
-    for (std::size_t i = 1; contiguous && i < objects.size(); ++i)
-      contiguous = objects[i] == objects[i - 1] + 1;
-    if (contiguous && out.size() == objects.size()) {
-      own_probe_row(p, objects.front(), objects.size(), out);
-      return;
+    if (objects.size() > bitkernel::kWordBits) {
+      bool contiguous = true;
+      for (std::size_t i = 1; contiguous && i < objects.size(); ++i)
+        contiguous = objects[i] == objects[i - 1] + 1;
+      if (contiguous && out.size() == objects.size()) {
+        own_probe_row(p, objects.front(), objects.size(), out);
+        return;
+      }
     }
     if (population.is_honest(p))
       oracle.probe_gather(p, objects, out);

@@ -8,73 +8,160 @@
 
 namespace colscore {
 
-namespace {
-
-std::vector<ConstBitRow> as_views(std::span<const BitVector> candidates) {
-  return std::vector<ConstBitRow>(candidates.begin(), candidates.end());
+// Small plans cover one-word universes. SmallRadius runs tens of millions of
+// Selects over subsets of a handful of objects (on the pinned 18-run grid,
+// 44% of its calls are k = 2 over a 1-bit universe); at that size the
+// workspace buffers of the general path are pure overhead, so the play's
+// probe memo is two uint64 planes in registers and every per-pair list is a
+// fixed stack array. Draw streams, probe charges, and elimination order are
+// identical to the general path.
+SelectPlan::SelectPlan(std::span<const ConstBitRow> candidates,
+                       std::span<const ObjectId> objects)
+    : candidates_(candidates), objects_(objects) {
+  CS_ASSERT(!candidates.empty(), "select: no candidates");
+  for (const ConstBitRow& c : candidates)
+    CS_ASSERT(c.size() == objects.size(), "select: candidate/universe size mismatch");
+  small_ = objects.size() <= 64 && candidates.size() <= kSmallK;
+  if (!small_) return;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    words_[i] = objects.empty() ? 0 : candidates[i].words()[0];
+    hashes_[i] = candidates[i].content_hash();
+  }
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    for (std::size_t j = i + 1; j < candidates.size(); ++j) {
+      const std::uint64_t diff = words_[i] ^ words_[j];
+      pair_diff_[pair_index(i, j)] = diff;
+      // colscore-lint: allow(CL011) single-word universe: one popcount per
+      // pair, once per plan, beats any kernel call (small plans only)
+      pair_count_[pair_index(i, j)] = static_cast<std::uint8_t>(std::popcount(diff));
+    }
+  }
 }
 
-/// Stack-only tournament for one-word universes. SmallRadius runs millions
-/// of selects over subsets of a handful of objects (the measured average is
-/// ~3 bits, k ~ 3); at that size the workspace buffers of the general path
-/// are pure overhead, so the probe memo is two uint64 planes in registers
-/// and every per-pair list is a fixed stack array. Draw streams, probe
-/// charges, and elimination order are identical to the general path.
-constexpr std::size_t kSmallTournamentK = 16;
+/// The per-player play of a SelectPlan. Pair streams depend only on the
+/// phase key and the pair (content hashes for Select, indices for RSelect),
+/// never on probe results, so a pair's t coordinates are all drawn before
+/// any probe and the uncached ones — first occurrence each, exactly the
+/// coords the serial formulation charged — go through one batched
+/// own_probe_bits charge. Players remember their own probe results within a
+/// tournament, so each distinct coordinate is charged at most once.
+///
+/// A pair that differs in exactly one coordinate is forced: below(1) == 0
+/// under every stream, so all its draws are that coordinate and neither the
+/// key nor the stream is built.
+struct SelectTournament {
+  static SelectOutcome play(PlayerId p, const SelectPlan& plan, ProtocolEnv& env,
+                            SelectKey& key, std::size_t probes_per_pair,
+                            std::size_t skip_below, bool deterministic) {
+    if (plan.size() == 1) return {};
+    return plan.small_
+               ? play_small(p, plan, env, key, probes_per_pair, skip_below, deterministic)
+               : play_general(p, plan, env, key, probes_per_pair, skip_below,
+                              deterministic);
+  }
 
-SelectOutcome run_tournament_small(PlayerId p, std::span<const ConstBitRow> candidates,
-                                   std::span<const ObjectId> objects,
-                                   ProtocolEnv& env, std::uint64_t phase_key,
-                                   std::size_t probes_per_pair,
-                                   std::size_t skip_below, bool deterministic) {
-  const std::size_t k = candidates.size();
-  const std::size_t nbits = objects.size();
+  static SelectOutcome prefiltered(PlayerId p, const SelectPlan& plan, ProtocolEnv& env,
+                                   SelectKey& key, std::size_t probes_per_pair,
+                                   std::size_t prefilter_probes,
+                                   std::size_t max_finalists, std::size_t skip_below);
+
+ private:
+  /// Draw stream of pair (i, j): keyed on the candidates' content hashes
+  /// for Select, on the pair's indices and p's local randomness for RSelect
+  /// (hashes == nullptr).
+  static Rng pair_stream(PlayerId p, ProtocolEnv& env, SelectKey& key,
+                         const std::uint64_t* hashes, std::size_t i, std::size_t j) {
+    return hashes != nullptr
+               ? Rng(mix_keys(key.get(), hashes[i], hashes[j]))
+               : env.local_rng(p, mix_keys(key.get(), i * 1315423911ULL + j));
+  }
+
+  /// Fig. 1's elimination for pair (i, j) after t draws, agree_i of which
+  /// match candidate i: the loser of a 2/3 supermajority is eliminated; in a
+  /// close race both survive (they are near-equidistant from v(p)).
+  template <typename Alive, typename Wins>
+  static void eliminate(std::size_t i, std::size_t j, std::size_t t,
+                        std::size_t agree_i, Alive& alive, Wins& wins) {
+    const std::size_t agree_j = t - agree_i;
+    if (3 * agree_i >= 2 * t) {
+      alive[j] = 0;
+      ++wins[i];
+    } else if (3 * agree_j >= 2 * t) {
+      alive[i] = 0;
+      ++wins[j];
+    } else {
+      ++wins[agree_i >= agree_j ? i : j];
+    }
+  }
+
+  /// The alive candidate with the most wins (first on ties).
+  template <typename Alive, typename Wins>
+  static std::size_t winner(std::size_t k, const Alive& alive, const Wins& wins) {
+    std::size_t best = 0;
+    bool found = false;
+    for (std::size_t i = 0; i < k; ++i) {
+      if (!alive[i]) continue;
+      if (!found || wins[i] > wins[best]) {
+        best = i;
+        found = true;
+      }
+    }
+    CS_ASSERT(found, "select: tournament eliminated every candidate");
+    return best;
+  }
+
+  static SelectOutcome play_small(PlayerId p, const SelectPlan& plan, ProtocolEnv& env,
+                                  SelectKey& key, std::size_t probes_per_pair,
+                                  std::size_t skip_below, bool deterministic);
+  static SelectOutcome play_general(PlayerId p, const SelectPlan& plan, ProtocolEnv& env,
+                                    SelectKey& key, std::size_t probes_per_pair,
+                                    std::size_t skip_below, bool deterministic);
+};
+
+SelectOutcome SelectTournament::play_small(PlayerId p, const SelectPlan& plan,
+                                           ProtocolEnv& env, SelectKey& key,
+                                           std::size_t probes_per_pair,
+                                           std::size_t skip_below, bool deterministic) {
+  const std::size_t k = plan.size();
+  const std::span<const ObjectId> objects = plan.objects_;
   SelectOutcome out;
-  if (nbits == 0) return out;  // every pair identical: first candidate wins
-
   std::uint64_t probed = 0;  // coord memo planes (one word covers the universe)
   std::uint64_t value = 0;
-  std::uint64_t cw[kSmallTournamentK];
-  std::uint64_t hashes[kSmallTournamentK];
-  std::uint8_t alive[kSmallTournamentK];
-  std::uint32_t wins[kSmallTournamentK];
-  for (std::size_t i = 0; i < k; ++i) {
-    cw[i] = candidates[i].words()[0];
-    alive[i] = 1;
-    wins[i] = 0;
-    if (deterministic) hashes[i] = candidates[i].content_hash();
-  }
+  std::uint8_t alive[SelectPlan::kSmallK];
+  std::uint32_t wins[SelectPlan::kSmallK] = {};
+  std::fill_n(alive, SelectPlan::kSmallK, 1);
 
   for (std::size_t i = 0; i < k; ++i) {
     if (!alive[i]) continue;
     for (std::size_t j = i + 1; j < k; ++j) {
       if (!alive[i]) break;
       if (!alive[j]) continue;
-      const std::uint64_t diffw = cw[i] ^ cw[j];
-      // colscore-lint: allow(CL011) single-word universe: one popcount on a
-      // register beats any kernel call (see kSmallTournamentK gate above)
-      const auto cnt = static_cast<std::size_t>(std::popcount(diffw));
+      const std::size_t pair = SelectPlan::pair_index(i, j);
+      const std::size_t cnt = plan.pair_count_[pair];
       if (cnt == 0 || cnt <= skip_below) continue;
-
-      Rng stream = deterministic
-                       ? Rng(mix_keys(phase_key, hashes[i], hashes[j]))
-                       : env.local_rng(p, mix_keys(phase_key, i * 1315423911ULL + j));
-
-      std::uint8_t pos[64];
-      std::uint64_t rest = diffw;
-      for (std::size_t d = 0; d < cnt; ++d) {
-        pos[d] = static_cast<std::uint8_t>(std::countr_zero(rest));
-        rest &= rest - 1;
-      }
+      const std::uint64_t diffw = plan.pair_diff_[pair];
 
       const std::size_t t = std::min(probes_per_pair, cnt);
       std::uint8_t drawn[64];
+      if (cnt == 1) {
+        std::fill_n(drawn, t, static_cast<std::uint8_t>(std::countr_zero(diffw)));
+      } else {
+        Rng stream =
+            pair_stream(p, env, key, deterministic ? plan.hashes_ : nullptr, i, j);
+        std::uint8_t pos[64];
+        std::uint64_t rest = diffw;
+        for (std::size_t d = 0; d < cnt; ++d) {
+          pos[d] = static_cast<std::uint8_t>(std::countr_zero(rest));
+          rest &= rest - 1;
+        }
+        for (std::size_t s = 0; s < t; ++s) drawn[s] = pos[stream.below(cnt)];
+      }
+
       std::uint8_t batch_coords[64];
       ObjectId batch_objects[64];
       std::size_t batch = 0;
       for (std::size_t s = 0; s < t; ++s) {
-        const std::uint8_t coord = pos[stream.below(cnt)];
-        drawn[s] = coord;
+        const std::uint8_t coord = drawn[s];
         if (((probed >> coord) & 1) == 0) {
           probed |= 1ULL << coord;
           batch_coords[batch] = coord;
@@ -89,64 +176,31 @@ SelectOutcome run_tournament_small(PlayerId p, std::span<const ConstBitRow> cand
           value |= ((got >> b) & 1ULL) << batch_coords[b];
       }
 
+      const std::uint64_t wi = plan.words_[i];
       std::size_t agree_i = 0;
       for (std::size_t s = 0; s < t; ++s)
-        if (((value >> drawn[s]) & 1) == ((cw[i] >> drawn[s]) & 1)) ++agree_i;
+        if (((value >> drawn[s]) & 1) == ((wi >> drawn[s]) & 1)) ++agree_i;
       ++out.pairs_probed;
-      const std::size_t agree_j = t - agree_i;
-      if (3 * agree_i >= 2 * t) {
-        alive[j] = 0;
-        ++wins[i];
-      } else if (3 * agree_j >= 2 * t) {
-        alive[i] = 0;
-        ++wins[j];
-      } else {
-        ++wins[agree_i >= agree_j ? i : j];
-      }
+      eliminate(i, j, t, agree_i, alive, wins);
     }
   }
-
-  std::size_t best = 0;
-  bool found = false;
-  for (std::size_t i = 0; i < k; ++i) {
-    if (!alive[i]) continue;
-    if (!found || wins[i] > wins[best]) {
-      best = i;
-      found = true;
-    }
-  }
-  CS_ASSERT(found, "select: tournament eliminated every candidate");
-  out.chosen = best;
+  out.chosen = winner(k, alive, wins);
   return out;
 }
 
-/// Shared implementation of the pairwise elimination tournament.
-/// `deterministic` switches the probe-position sampling stream.
-///
 /// Scratch discipline: all buffers live in the per-thread RunWorkspace
 /// (sel_* group) — the tournament runs millions of times per suite, so
 /// per-call allocations were the dominant cost at scale. The per-coordinate
 /// probe memo is a two-plane bit cache (probed?/value).
-///
-/// Probe batching: a pair's t coordinates are all drawn before any probe
-/// (the draw stream never depends on probe results), so the uncached ones —
-/// first occurrence each, exactly the coords the serial formulation charged
-/// — go through one batched own_probe_bits charge instead of t round-trips.
-SelectOutcome run_tournament(PlayerId p, std::span<const ConstBitRow> candidates,
-                             std::span<const ObjectId> objects, ProtocolEnv& env,
-                             std::uint64_t phase_key, std::size_t probes_per_pair,
-                             std::size_t skip_below, bool deterministic) {
-  CS_ASSERT(!candidates.empty(), "select: no candidates");
-  for (const ConstBitRow& c : candidates)
-    CS_ASSERT(c.size() == objects.size(), "select: candidate/universe size mismatch");
-
-  SelectOutcome out;
+SelectOutcome SelectTournament::play_general(PlayerId p, const SelectPlan& plan,
+                                             ProtocolEnv& env, SelectKey& key,
+                                             std::size_t probes_per_pair,
+                                             std::size_t skip_below,
+                                             bool deterministic) {
+  const std::span<const ConstBitRow> candidates = plan.candidates_;
+  const std::span<const ObjectId> objects = plan.objects_;
   const std::size_t k = candidates.size();
-  if (k == 1) return out;
-
-  if (objects.size() <= 64 && k <= kSmallTournamentK)
-    return run_tournament_small(p, candidates, objects, env, phase_key,
-                                probes_per_pair, skip_below, deterministic);
+  SelectOutcome out;
 
   RunWorkspace& ws = env.workspace();
   const std::size_t words = bitkernel::word_count(objects.size());
@@ -182,20 +236,18 @@ SelectOutcome run_tournament(PlayerId p, std::span<const ConstBitRow> candidates
       diff.clear();
       candidates[i].diff_positions_into(candidates[j], diff);
 
-      Rng stream = deterministic
-                       ? Rng(mix_keys(phase_key, hashes[i], hashes[j]))
-                       : env.local_rng(p, mix_keys(phase_key, i * 1315423911ULL + j));
-
       const std::size_t t = std::min(probes_per_pair, diff.size());
       coords.resize(t);
+      if (diff.size() == 1) {
+        std::fill(coords.begin(), coords.end(), diff[0]);
+      } else {
+        Rng stream = pair_stream(p, env, key, deterministic ? hashes.data() : nullptr, i, j);
+        for (std::size_t s = 0; s < t; ++s) coords[s] = diff[stream.below(diff.size())];
+      }
       batch_coords.clear();
       batch_objects.clear();
-      for (std::size_t s = 0; s < t; ++s) {
-        const std::size_t coord = diff[stream.below(diff.size())];
-        coords[s] = coord;
+      for (const std::size_t coord : coords) {
         if (!probed.get(coord)) {
-          // Players remember their own probe results within a protocol step,
-          // so each distinct coordinate is charged at most once.
           probed.set(coord, true);
           batch_coords.push_back(coord);
           batch_objects.push_back(objects[coord]);
@@ -211,93 +263,40 @@ SelectOutcome run_tournament(PlayerId p, std::span<const ConstBitRow> candidates
       }
 
       std::size_t agree_i = 0;
-      for (std::size_t s = 0; s < t; ++s)
-        if (value.get(coords[s]) == candidates[i].get(coords[s])) ++agree_i;
+      for (const std::size_t coord : coords)
+        if (value.get(coord) == candidates[i].get(coord)) ++agree_i;
       ++out.pairs_probed;
-      const std::size_t agree_j = t - agree_i;
-      // Fig. 1: eliminate the candidate that loses a 2/3 supermajority.
-      if (3 * agree_i >= 2 * t) {
-        alive[j] = 0;
-        ++wins[i];
-      } else if (3 * agree_j >= 2 * t) {
-        alive[i] = 0;
-        ++wins[j];
-      } else {
-        // Close race: both survive (they are near-equidistant from v(p)).
-        ++wins[agree_i >= agree_j ? i : j];
-      }
+      eliminate(i, j, t, agree_i, alive, wins);
     }
   }
-
-  std::size_t best = 0;
-  bool found = false;
-  for (std::size_t i = 0; i < k; ++i) {
-    if (!alive[i]) continue;
-    if (!found || wins[i] > wins[best]) {
-      best = i;
-      found = true;
-    }
-  }
-  CS_ASSERT(found, "select: tournament eliminated every candidate");
-  out.chosen = best;
+  out.chosen = winner(k, alive, wins);
   return out;
 }
 
-}  // namespace
-
-SelectOutcome rselect(PlayerId p, std::span<const ConstBitRow> candidates,
-                      std::span<const ObjectId> objects, ProtocolEnv& env,
-                      std::uint64_t phase_key, std::size_t probes_per_pair) {
-  return run_tournament(p, candidates, objects, env, phase_key, probes_per_pair,
-                        /*skip_below=*/0, /*deterministic=*/false);
-}
-
-SelectOutcome rselect(PlayerId p, std::span<const BitVector> candidates,
-                      std::span<const ObjectId> objects, ProtocolEnv& env,
-                      std::uint64_t phase_key, std::size_t probes_per_pair) {
-  return rselect(p, as_views(candidates), objects, env, phase_key, probes_per_pair);
-}
-
-SelectOutcome select_deterministic(PlayerId p, std::span<const ConstBitRow> candidates,
-                                   std::span<const ObjectId> objects, ProtocolEnv& env,
-                                   std::uint64_t phase_key,
-                                   std::size_t probes_per_pair,
-                                   std::size_t skip_below) {
-  return run_tournament(p, candidates, objects, env, phase_key, probes_per_pair,
-                        skip_below, /*deterministic=*/true);
-}
-
-SelectOutcome select_deterministic(PlayerId p, std::span<const BitVector> candidates,
-                                   std::span<const ObjectId> objects, ProtocolEnv& env,
-                                   std::uint64_t phase_key,
-                                   std::size_t probes_per_pair,
-                                   std::size_t skip_below) {
-  return select_deterministic(p, as_views(candidates), objects, env, phase_key,
-                              probes_per_pair, skip_below);
-}
-
-SelectOutcome select_prefiltered(PlayerId p, std::span<const ConstBitRow> candidates,
-                                 std::span<const ObjectId> objects, ProtocolEnv& env,
-                                 std::uint64_t phase_key, std::size_t probes_per_pair,
-                                 std::size_t prefilter_probes,
-                                 std::size_t max_finalists, std::size_t skip_below) {
-  CS_ASSERT(!candidates.empty(), "select_prefiltered: no candidates");
+SelectOutcome SelectTournament::prefiltered(PlayerId p, const SelectPlan& plan,
+                                            ProtocolEnv& env, SelectKey& key,
+                                            std::size_t probes_per_pair,
+                                            std::size_t prefilter_probes,
+                                            std::size_t max_finalists,
+                                            std::size_t skip_below) {
   CS_ASSERT(max_finalists >= 1, "select_prefiltered: need at least one finalist");
-  if (candidates.size() <= max_finalists) {
-    return select_deterministic(p, candidates, objects, env, phase_key,
-                                probes_per_pair, skip_below);
-  }
+  if (plan.size() <= max_finalists)
+    return play(p, plan, env, key, probes_per_pair, skip_below, /*deterministic=*/true);
 
+  const std::span<const ConstBitRow> candidates = plan.candidates_;
+  const std::span<const ObjectId> objects = plan.objects_;
   SelectOutcome out;
-  // Shared prefilter coordinates: identical for every player so adversaries
-  // gain nothing by tailoring per-player lies to them. The t probes go
-  // through one batched charge instead of t counter round-trips; the charge
-  // total is unchanged (duplicate coordinates still pay, as before).
+  // Prefilter coordinates are drawn from the phase key: shared by every
+  // player given the same key, per-player under a per-player key (as
+  // SmallRadius passes). The t probes go through one batched charge instead
+  // of t counter round-trips; the charge total is unchanged (duplicate
+  // coordinates still pay, as before).
   //
   // Scratch comes from the pf_* workspace group — disjoint from the sel_*
   // buffers the inner tournament uses, because the finalist list must stay
   // alive across that call.
   RunWorkspace& ws = env.workspace();
+  const std::uint64_t phase_key = key.get();
   Rng coords_rng(mix_keys(phase_key, 0x9ef1a7e4ULL));
   const std::size_t t = std::min(prefilter_probes, objects.size());
   auto& pf_coords = ws.pf_coords;
@@ -332,23 +331,42 @@ SelectOutcome select_prefiltered(PlayerId p, std::span<const ConstBitRow> candid
     finalist_ids.push_back(scored[i].second);
   }
 
-  SelectOutcome inner = select_deterministic(p, finalists, objects, env,
-                                             mix_keys(phase_key, 0xf1a1ULL),
-                                             probes_per_pair, skip_below);
+  const SelectPlan inner_plan(finalists, objects);
+  SelectKey inner_key(phase_key, 0xf1a1ULL);
+  const SelectOutcome inner = play(p, inner_plan, env, inner_key, probes_per_pair,
+                                   skip_below, /*deterministic=*/true);
   out.chosen = finalist_ids[inner.chosen];
   out.probes += inner.probes;
   out.pairs_probed = inner.pairs_probed;
   return out;
 }
 
-SelectOutcome select_prefiltered(PlayerId p, std::span<const BitVector> candidates,
-                                 std::span<const ObjectId> objects, ProtocolEnv& env,
-                                 std::uint64_t phase_key, std::size_t probes_per_pair,
+SelectOutcome rselect(PlayerId p, std::span<const ConstBitRow> candidates,
+                      std::span<const ObjectId> objects, ProtocolEnv& env,
+                      std::uint64_t phase_key, std::size_t probes_per_pair) {
+  const SelectPlan plan(candidates, objects);
+  SelectKey key(phase_key);
+  return SelectTournament::play(p, plan, env, key, probes_per_pair, /*skip_below=*/0,
+                                /*deterministic=*/false);
+}
+
+SelectOutcome select_deterministic(PlayerId p, std::span<const ConstBitRow> candidates,
+                                   std::span<const ObjectId> objects, ProtocolEnv& env,
+                                   std::uint64_t phase_key,
+                                   std::size_t probes_per_pair,
+                                   std::size_t skip_below) {
+  const SelectPlan plan(candidates, objects);
+  SelectKey key(phase_key);
+  return SelectTournament::play(p, plan, env, key, probes_per_pair, skip_below,
+                                /*deterministic=*/true);
+}
+
+SelectOutcome select_prefiltered(PlayerId p, const SelectPlan& plan, ProtocolEnv& env,
+                                 SelectKey phase_key, std::size_t probes_per_pair,
                                  std::size_t prefilter_probes,
                                  std::size_t max_finalists, std::size_t skip_below) {
-  return select_prefiltered(p, as_views(candidates), objects, env, phase_key,
-                            probes_per_pair, prefilter_probes, max_finalists,
-                            skip_below);
+  return SelectTournament::prefiltered(p, plan, env, phase_key, probes_per_pair,
+                                       prefilter_probes, max_finalists, skip_below);
 }
 
 }  // namespace colscore

@@ -132,13 +132,15 @@ SmallRadiusResult small_radius(std::span<const PlayerId> players,
         }
       }
 
-      // Step 3: every player selects its vector for this subset. The view
-      // list is built once here instead of once per player inside the
-      // BitVector overload.
+      // Step 3: every player selects its vector for this subset. Everything
+      // that depends only on U_i (candidate words, hashes, pair differences)
+      // is planned once here; workers play the plan read-only. Each player's
+      // key mix_keys(sub_key, p) is mixed only if its tournament draws.
       const std::vector<ConstBitRow> ui_views(ui.begin(), ui.end());
+      const SelectPlan plan(ui_views, sub_objects);
       env.par_for(0, players.size(), [&](std::size_t i) {
         const SelectOutcome sel = select_prefiltered(
-            players[i], ui_views, sub_objects, env, mix_keys(sub_key, players[i]),
+            players[i], plan, env, SelectKey(sub_key, players[i]),
             params.probes_per_pair, params.prefilter_probes, params.max_finalists,
             /*skip_below=*/0);
         // Write the chosen subset vector into the repeat's full candidate.

@@ -86,6 +86,29 @@ TEST(ProbePipeline, ProbeGatherMatchesProbeLoopWithDuplicates) {
   }
 }
 
+TEST(ProbePipeline, GatherWritesOnlyTheSlateBits) {
+  // Packed gathers assemble each 64-object chunk in a register and store
+  // it as one word; bits of the output past the slate must survive the
+  // store of the last, partial word.
+  Rng picks(0x6a7f);
+  const PreferenceMatrix m = random_matrix(3, 150, 8);
+  for (std::size_t n = 0; n <= 100; ++n) {
+    std::vector<ObjectId> objects(n);
+    for (ObjectId& o : objects) o = static_cast<ObjectId>(picks.below(150));
+    ProbeOracle oracle(m);
+    BitVector charged(n + 70), peeked(n + 70);
+    BitRow(charged).fill(true);
+    BitRow(peeked).fill(true);
+    oracle.probe_gather(1, objects, charged);
+    oracle.adversary_peek_gather(1, objects, peeked);
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(charged.get(i), m.preference(1, objects[i])) << "n=" << n << " i=" << i;
+    for (std::size_t i = n; i < n + 70; ++i) EXPECT_TRUE(charged.get(i)) << "n=" << n;
+    EXPECT_EQ(peeked, charged) << "n=" << n;
+    EXPECT_EQ(oracle.probes_by(1), n);
+  }
+}
+
 TEST(ProbePipeline, HardModeChargesMatchAndEnforceBudget) {
   const PreferenceMatrix m = random_matrix(4, 96, 11);
   // Within budget: kHard behaves exactly like kTrack.
@@ -102,8 +125,11 @@ TEST(ProbePipeline, HardModeChargesMatchAndEnforceBudget) {
 }
 
 TEST(ProbePipeline, OwnProbeBitsHonestChargesDishonestPeeksFree) {
-  const std::size_t n = 32;
-  World world = identical_clusters(n, n, 2, Rng(3));
+  // 150 objects, so that slates of more than 64 objects fit: contiguous
+  // ones take the row path (probe_row / adversary_peek_row), everything
+  // else the gather.
+  const std::size_t n = 32, m = 150;
+  World world = identical_clusters(n, m, 2, Rng(3));
   Population pop(n);
   pop.set_behavior(5, std::make_unique<Inverter>());
   ProbeOracle oracle(world.matrix);
@@ -116,7 +142,7 @@ TEST(ProbePipeline, OwnProbeBitsHonestChargesDishonestPeeksFree) {
   BitVector out4(4), out5(5);
 
   env.own_probe_bits(2, scattered, out4);   // honest: charged
-  env.own_probe_bits(2, contiguous, out5);  // honest: word path, charged
+  env.own_probe_bits(2, contiguous, out5);  // honest: short slate, gathered, charged
   EXPECT_EQ(oracle.probes_by(2), 9u);
   for (std::size_t i = 0; i < scattered.size(); ++i)
     EXPECT_EQ(out4.get(i), world.matrix.preference(2, scattered[i]));
@@ -127,6 +153,25 @@ TEST(ProbePipeline, OwnProbeBitsHonestChargesDishonestPeeksFree) {
   EXPECT_EQ(oracle.probes_by(5), 0u);
   for (std::size_t i = 0; i < scattered.size(); ++i)
     EXPECT_EQ(out4.get(i), world.matrix.preference(5, scattered[i]));
+
+  // Slates of 97 objects: contiguous (row path) and scattered (gather).
+  std::vector<ObjectId> wide_contiguous(97), wide_scattered(97);
+  for (std::size_t i = 0; i < wide_contiguous.size(); ++i) {
+    wide_contiguous[i] = static_cast<ObjectId>(40 + i);
+    wide_scattered[i] = static_cast<ObjectId>((7 * i + 3) % m);
+  }
+  for (const auto* slate : {&wide_contiguous, &wide_scattered}) {
+    BitVector honest(slate->size()), dishonest(slate->size());
+    oracle.reset_counts();
+    env.own_probe_bits(2, *slate, honest);     // honest: charged
+    env.own_probe_bits(5, *slate, dishonest);  // dishonest: free peek
+    EXPECT_EQ(oracle.probes_by(2), slate->size());
+    EXPECT_EQ(oracle.probes_by(5), 0u);
+    for (std::size_t i = 0; i < slate->size(); ++i) {
+      EXPECT_EQ(honest.get(i), world.matrix.preference(2, (*slate)[i])) << i;
+      EXPECT_EQ(dishonest.get(i), world.matrix.preference(5, (*slate)[i])) << i;
+    }
+  }
 }
 
 /// FNV-style hash over the per-player probe counters after a full

@@ -28,6 +28,11 @@ struct SelectFixture {
     candidates.push_back(std::move(c));
   }
 
+  /// Zero-copy views of the candidates, the form every Select entry takes.
+  std::vector<ConstBitRow> views() const {
+    return std::vector<ConstBitRow>(candidates.begin(), candidates.end());
+  }
+
   std::size_t dist(std::size_t idx) const {
     return h.world.matrix.row(0).hamming(candidates[idx]);
   }
@@ -36,7 +41,7 @@ struct SelectFixture {
 TEST(RSelect, SingleCandidateCostsNothing) {
   SelectFixture f;
   f.add_candidate(100, 1);
-  const SelectOutcome out = rselect(0, f.candidates, f.objects, f.h.env, 1, 16);
+  const SelectOutcome out = rselect(0, f.views(), f.objects, f.h.env, 1, 16);
   EXPECT_EQ(out.chosen, 0u);
   EXPECT_EQ(out.probes, 0u);
 }
@@ -45,7 +50,7 @@ TEST(RSelect, PicksExactMatchOverFarCandidate) {
   SelectFixture f;
   f.add_candidate(0, 1);    // the truth itself
   f.add_candidate(200, 2);  // far away
-  const SelectOutcome out = rselect(0, f.candidates, f.objects, f.h.env, 2, 16);
+  const SelectOutcome out = rselect(0, f.views(), f.objects, f.h.env, 2, 16);
   EXPECT_EQ(out.chosen, 0u);
 }
 
@@ -53,7 +58,7 @@ TEST(RSelect, OrderDoesNotMatterForClearWinner) {
   SelectFixture f;
   f.add_candidate(250, 1);
   f.add_candidate(0, 2);
-  const SelectOutcome out = rselect(0, f.candidates, f.objects, f.h.env, 3, 16);
+  const SelectOutcome out = rselect(0, f.views(), f.objects, f.h.env, 3, 16);
   EXPECT_EQ(out.chosen, 1u);
 }
 
@@ -66,7 +71,7 @@ TEST(RSelect, OutputWithinConstantFactorOfBest) {
     f.add_candidate(40, seed * 17 + 2);
     f.add_candidate(160, seed * 17 + 3);
     f.add_candidate(320, seed * 17 + 4);
-    const SelectOutcome out = rselect(0, f.candidates, f.objects, f.h.env, seed, 24);
+    const SelectOutcome out = rselect(0, f.views(), f.objects, f.h.env, seed, 24);
     EXPECT_LE(f.dist(out.chosen), 4 * 10u) << "seed=" << seed;
   }
 }
@@ -77,7 +82,7 @@ TEST(RSelect, ProbeComplexityQuadraticInK) {
   SelectFixture f(1024, 3);
   for (std::uint64_t i = 0; i < 8; ++i) f.add_candidate(300 + 10 * i, 100 + i);
   const std::size_t per_pair = 16;
-  const SelectOutcome out = rselect(0, f.candidates, f.objects, f.h.env, 4, per_pair);
+  const SelectOutcome out = rselect(0, f.views(), f.objects, f.h.env, 4, per_pair);
   const std::size_t pairs = 8 * 7 / 2;
   EXPECT_LE(out.pairs_probed, pairs);
   EXPECT_GT(out.pairs_probed, 0u);
@@ -90,7 +95,7 @@ TEST(RSelect, ChargesProbesToPlayer) {
   f.add_candidate(100, 1);
   f.add_candidate(400, 2);
   const auto before = f.h.oracle.probes_by(0);
-  const SelectOutcome out = rselect(0, f.candidates, f.objects, f.h.env, 5, 8);
+  const SelectOutcome out = rselect(0, f.views(), f.objects, f.h.env, 5, 8);
   EXPECT_EQ(f.h.oracle.probes_by(0) - before, out.probes);
   EXPECT_GT(out.probes, 0u);
 }
@@ -99,7 +104,7 @@ TEST(RSelect, IdenticalCandidatesSkipped) {
   SelectFixture f;
   f.add_candidate(50, 1);
   f.candidates.push_back(f.candidates[0]);  // exact duplicate
-  const SelectOutcome out = rselect(0, f.candidates, f.objects, f.h.env, 6, 16);
+  const SelectOutcome out = rselect(0, f.views(), f.objects, f.h.env, 6, 16);
   EXPECT_EQ(out.probes, 0u);  // no differing positions to probe
 }
 
@@ -109,9 +114,9 @@ TEST(SelectDeterministic, SameKeySameOutcome) {
   f.add_candidate(200, 2);
   f.add_candidate(90, 3);
   const SelectOutcome a =
-      select_deterministic(0, f.candidates, f.objects, f.h.env, 7, 16, 0);
+      select_deterministic(0, f.views(), f.objects, f.h.env, 7, 16, 0);
   const SelectOutcome b =
-      select_deterministic(0, f.candidates, f.objects, f.h.env, 7, 16, 0);
+      select_deterministic(0, f.views(), f.objects, f.h.env, 7, 16, 0);
   EXPECT_EQ(a.chosen, b.chosen);
   EXPECT_EQ(a.pairs_probed, b.pairs_probed);
 }
@@ -125,7 +130,7 @@ TEST(SelectDeterministic, SkipBelowAvoidsProbingClosePairs) {
   near.flip_random(rng, 8);
   f.candidates.push_back(std::move(near));
   const SelectOutcome out =
-      select_deterministic(0, f.candidates, f.objects, f.h.env, 8, 16,
+      select_deterministic(0, f.views(), f.objects, f.h.env, 8, 16,
                            /*skip_below=*/16);
   EXPECT_EQ(out.probes, 0u);  // the only pair is under the threshold
   EXPECT_LE(f.dist(out.chosen), 5u + 8u);
@@ -141,7 +146,7 @@ TEST(SelectDeterministic, ContractHoldsWithDCloseCandidate) {
     f.add_candidate(150, seed + 20);
     f.add_candidate(250, seed + 30);
     const SelectOutcome out =
-        select_deterministic(0, f.candidates, f.objects, f.h.env, seed, 24, D);
+        select_deterministic(0, f.views(), f.objects, f.h.env, seed, 24, D);
     EXPECT_LE(f.dist(out.chosen), 5 * D) << "seed=" << seed;
   }
 }
@@ -150,8 +155,10 @@ TEST(SelectPrefiltered, FallsThroughForSmallSets) {
   SelectFixture f;
   f.add_candidate(10, 1);
   f.add_candidate(200, 2);
-  const SelectOutcome out = select_prefiltered(0, f.candidates, f.objects, f.h.env, 9,
-                                               16, 16, /*max_finalists=*/8, 0);
+  const std::vector<ConstBitRow> views = f.views();
+  const SelectPlan plan(views, f.objects);
+  const SelectOutcome out =
+      select_prefiltered(0, plan, f.h.env, 9, 16, 16, /*max_finalists=*/8, 0);
   EXPECT_EQ(f.dist(out.chosen), 10u);
 }
 
@@ -159,8 +166,10 @@ TEST(SelectPrefiltered, SurvivesLargeCandidateSets) {
   SelectFixture f(1024, 5);
   f.add_candidate(15, 1);  // the good one
   for (std::uint64_t i = 0; i < 30; ++i) f.add_candidate(300 + i, 50 + i);
-  const SelectOutcome out = select_prefiltered(0, f.candidates, f.objects, f.h.env, 10,
-                                               16, /*prefilter=*/48,
+  const std::vector<ConstBitRow> views = f.views();
+  const SelectPlan plan(views, f.objects);
+  const SelectOutcome out = select_prefiltered(0, plan, f.h.env, 10, 16,
+                                               /*prefilter=*/48,
                                                /*max_finalists=*/6, 0);
   EXPECT_LE(f.dist(out.chosen), 60u);
   // Probe cost must be far below the full k^2 tournament.
@@ -172,8 +181,9 @@ TEST(SelectPrefiltered, MapsIndicesBackCorrectly) {
   SelectFixture f(512, 6);
   for (std::uint64_t i = 0; i < 20; ++i) f.add_candidate(200 + 5 * i, 90 + i);
   f.add_candidate(0, 999);  // truth is the last candidate (index 20)
-  const SelectOutcome out = select_prefiltered(0, f.candidates, f.objects, f.h.env, 11,
-                                               16, 64, 4, 0);
+  const std::vector<ConstBitRow> views = f.views();
+  const SelectPlan plan(views, f.objects);
+  const SelectOutcome out = select_prefiltered(0, plan, f.h.env, 11, 16, 64, 4, 0);
   EXPECT_EQ(out.chosen, 20u);
 }
 
@@ -182,7 +192,7 @@ TEST(SelectOutcome, DishonestPlayerProbesAreFree) {
   f.h.population.set_behavior(0, std::make_unique<Inverter>());
   f.add_candidate(100, 1);
   f.add_candidate(300, 2);
-  rselect(0, f.candidates, f.objects, f.h.env, 12, 8);
+  rselect(0, f.views(), f.objects, f.h.env, 12, 8);
   EXPECT_EQ(f.h.oracle.probes_by(0), 0u);  // peeked, not probed
 }
 

@@ -141,6 +141,52 @@ TEST(SmallRadius, MoreRepeatsNeverHurtMuch) {
   EXPECT_LE(e3, e1 + 2 * D);  // repeats give Select more shots, not fewer
 }
 
+/// FNV-style hashes of one fixed-seed run: every output bit, and every
+/// player's probe bill.
+struct RunHashes {
+  std::uint64_t outputs = 0xcbf29ce484222325ULL;
+  std::uint64_t probes_by = 0xcbf29ce484222325ULL;
+};
+
+RunHashes fixed_seed_hashes(std::size_t n_objects, std::size_t diameter,
+                            std::size_t max_finalists) {
+  Harness h(planted_clusters(128, n_objects, 8, 6, Rng(21)));
+  Rng rng(22);
+  h.population.corrupt_random(12, rng, [] { return std::make_unique<RandomLiar>(); });
+  SmallRadiusParams params;
+  params.budget = 4;
+  params.diameter = diameter;
+  params.max_finalists = max_finalists;
+  const auto players = h.all_players();
+  const SmallRadiusResult r = small_radius(players, h.all_objects(), params, h.env, 23);
+  RunHashes out;
+  for (const BitVector& v : r.outputs) {
+    for (const std::uint64_t w : ConstBitRow(v).words()) {
+      out.outputs ^= w;
+      out.outputs *= 0x100000001b3ULL;
+    }
+  }
+  for (const PlayerId p : players) {
+    out.probes_by ^= h.oracle.probes_by(p);
+    out.probes_by *= 0x100000001b3ULL;
+  }
+  return out;
+}
+
+// Golden hashes captured before Select was split into a per-subset plan and
+// a per-player play: outputs and per-player charges must not move. The
+// first run has subsets of ~8 objects (D = 8) and a prefilter on every U_i
+// of more than 3 candidates; the second has subsets around 64 objects
+// (D = 1), so both tournament paths run.
+TEST(SmallRadius, FixedSeedOutputsAndChargesUnchanged) {
+  const RunHashes small_subsets = fixed_seed_hashes(128, 8, 3);
+  EXPECT_EQ(small_subsets.outputs, 0x4c077530142a73dcULL);
+  EXPECT_EQ(small_subsets.probes_by, 0xaae431f41a4ffec0ULL);
+  const RunHashes wide_subsets = fixed_seed_hashes(128, 1, 8);
+  EXPECT_EQ(wide_subsets.outputs, 0xb696d683552f8d64ULL);
+  EXPECT_EQ(wide_subsets.probes_by, 0x89540eb402fdfd67ULL);
+}
+
 class SmallRadiusDiameterSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(SmallRadiusDiameterSweep, FiveDBoundAcrossDiameters) {
