@@ -30,11 +30,12 @@ void BM_NeighborGraphKernel(benchmark::State& state) {
   std::vector<BitVector> z;
   z.reserve(n);
   for (std::size_t i = 0; i < n; ++i) z.push_back(random_bitvector(dim, rng));
+  const std::vector<ConstBitRow> views(z.begin(), z.end());
 
   double seconds = 0;
   for (auto _ : state) {
     Timer timer;
-    const NeighborGraph graph(z, dim / 3, GraphBackend::kAuto, policy);
+    const NeighborGraph graph(views, dim / 3, GraphBackend::kAuto, policy);
     benchmark::DoNotOptimize(graph.degree(0));
     seconds = timer.seconds();
   }

@@ -15,37 +15,9 @@
 #include "src/common/bitvector.hpp"
 #include "src/common/exec_policy.hpp"
 #include "src/common/types.hpp"
+#include "src/model/preference_matrix.hpp"
 
 namespace colscore {
-
-/// Read-only view of the hidden preference matrix. Implemented by
-/// model::PreferenceMatrix; protocols only ever see this interface through
-/// the oracle.
-class TruthSource {
- public:
-  virtual ~TruthSource() = default;
-  virtual bool preference(PlayerId p, ObjectId o) const = 0;
-  virtual std::size_t n_players() const = 0;
-  virtual std::size_t n_objects() const = 0;
-
-  /// Packed bulk read: bit i of `out` = preference(p, first_object + i) for
-  /// i in [0, n). Writes bitkernel::word_count(n) words; padding bits past n
-  /// in the last word are zero. The default walks preference() bit by bit;
-  /// bit-packed implementations (PreferenceMatrix) override it with word
-  /// copies so a whole row costs a memcpy instead of n virtual calls.
-  virtual void fill_row_words(PlayerId p, ObjectId first_object, std::size_t n,
-                              std::uint64_t* out) const;
-
-  /// Flat-storage hint: implementations whose rows live as contiguous
-  /// 64-bit words (player p's row at base + p * stride, valid as long as
-  /// the source) return the base pointer and set `word_stride`; others
-  /// return nullptr. The oracle queries this once and then reads truth
-  /// bits with inline word math — no virtual dispatch per probe.
-  virtual const std::uint64_t* packed_rows(std::size_t* word_stride) const {
-    (void)word_stride;
-    return nullptr;
-  }
-};
 
 class ProbeOracle {
  public:
@@ -54,12 +26,12 @@ class ProbeOracle {
     kHard,   // abort if any player exceeds `budget` probes (failure injection)
   };
 
-  explicit ProbeOracle(const TruthSource& truth, BudgetMode mode = BudgetMode::kTrack,
-                       std::uint64_t budget = 0);
+  explicit ProbeOracle(const PreferenceMatrix& truth,
+                       BudgetMode mode = BudgetMode::kTrack, std::uint64_t budget = 0);
 
-  /// Performs one probe: charges player p and returns v(p)_o. Inline, with
-  /// a dispatch-free read when the truth source is packed — single probes
-  /// from adaptive elimination loops are one of the hottest paths.
+  /// Performs one probe: charges player p and returns v(p)_o. Inline word
+  /// math on the packed truth row — single probes from adaptive elimination
+  /// loops are one of the hottest paths.
   bool probe(PlayerId p, ObjectId o) {
     CS_ASSERT(p < counts_.size(), "probe: bad player id");
     CS_ASSERT(o < n_objects_, "probe: bad object id");
@@ -69,19 +41,16 @@ class ProbeOracle {
 
   /// Word-level probe: fills out with v(p) over the contiguous object range
   /// [first_object, first_object + n), charging all n probes in a single
-  /// counter round-trip and moving the bits through TruthSource's packed
-  /// bulk read instead of n virtual calls. `out` must view exactly n bits;
-  /// its padding stays zero. Semantically identical to probing each object
-  /// in order.
+  /// counter round-trip and moving the bits straight off the packed truth
+  /// row (a word copy or funnel shift per word). `out` must view exactly n
+  /// bits; its padding stays zero. Semantically identical to probing each
+  /// object in order.
   void probe_row(PlayerId p, ObjectId first_object, std::size_t n, BitRow out);
 
   /// Batched scattered probe: bit i of `out` = v(p)_objects[i], charging
   /// objects.size() probes at once (duplicates pay, like repeated probe()
-  /// calls without a memo). On a packed source the bits are gathered off
-  /// the row a word at a time, inline; otherwise, for slates big enough to
-  /// amortize it, the truth row is staged once through fill_row_words and
-  /// the bits are extracted locally, and small slates read per bit. `out`
-  /// must view at least objects.size() bits.
+  /// calls without a memo). The bits are gathered off the packed truth row
+  /// a word at a time, inline. `out` must view at least objects.size() bits.
   void probe_gather(PlayerId p, std::span<const ObjectId> objects, BitRow out) {
     CS_ASSERT(p < counts_.size(), "probe_gather: bad player id");
     CS_ASSERT(out.size() >= objects.size(), "probe_gather: output too small");
@@ -122,18 +91,16 @@ class ProbeOracle {
   /// counting under concurrent probes is part of the oracle contract.
   void set_serial_charging(bool on) { serial_charges_ = on; }
 
-  /// Binds the execution policy this oracle's probes run under. Derives the
+  /// Binds the execution policy this oracle's probes run under: derives the
   /// serial-charging hint from it (worker_count() <= 1 means every protocol
-  /// loop runs inline) and routes gather staging scratch to the policy's
-  /// per-worker workspace. The policy must outlive the oracle's use;
-  /// run_scenario binds its per-scenario policy right after construction.
+  /// loop runs inline). run_scenario binds its per-scenario policy right
+  /// after construction.
   void bind_policy(const ExecPolicy& policy) {
-    policy_ = &policy;
     serial_charges_ = policy.worker_count() <= 1;
   }
 
-  std::size_t n_players() const { return truth_->n_players(); }
-  std::size_t n_objects() const { return truth_->n_objects(); }
+  std::size_t n_players() const { return counts_.size(); }
+  std::size_t n_objects() const { return n_objects_; }
 
  private:
   /// Adds `amount` probes to p's counter (single round-trip) and enforces
@@ -151,24 +118,22 @@ class ProbeOracle {
     }
   }
 
-  /// Uncharged truth read: inline word math for packed sources, virtual
-  /// dispatch otherwise.
-  bool read_bit(PlayerId p, ObjectId o) const {
-    if (packed_ != nullptr)
-      return (packed_[p * packed_stride_ + o / 64] >> (o % 64)) & 1ULL;
-    return truth_->preference(p, o);
+  /// Player p's packed truth row.
+  const std::uint64_t* truth_row(PlayerId p) const {
+    return rows_ + p * row_stride_;
   }
 
-  /// Gathers a non-empty slate into `out`. Packed sources assemble each
-  /// chunk of 64 objects in a register and store it as one word; the last,
-  /// partial word keeps out's bits past the slate. Other sources go through
-  /// gather_unpacked.
+  /// Uncharged truth read: inline word math on the packed row.
+  bool read_bit(PlayerId p, ObjectId o) const {
+    const std::uint64_t word = truth_row(p)[o / bitkernel::kWordBits];
+    return (word >> (o % bitkernel::kWordBits)) & 1ULL;
+  }
+
+  /// Gathers a non-empty slate into `out`: each chunk of 64 objects is
+  /// assembled in a register and stored as one word; the last, partial word
+  /// keeps out's bits past the slate.
   void gather_into(PlayerId p, std::span<const ObjectId> objects, BitRow out) const {
-    if (packed_ == nullptr) {
-      gather_unpacked(p, objects, out);
-      return;
-    }
-    const std::uint64_t* row = packed_ + p * packed_stride_;
+    const std::uint64_t* row = truth_row(p);
     std::uint64_t* dst = out.word_data();
     for (std::size_t base = 0; base < objects.size(); base += bitkernel::kWordBits) {
       const std::size_t len = std::min(objects.size() - base, bitkernel::kWordBits);
@@ -183,20 +148,16 @@ class ProbeOracle {
       word = (word & keep) | bits;
     }
   }
-  /// gather_into for sources without packed rows: staged or per-bit reads.
-  void gather_unpacked(PlayerId p, std::span<const ObjectId> objects, BitRow out) const;
 
-  const TruthSource* truth_;
   BudgetMode mode_;
   std::uint64_t budget_;
-  /// Cached flat-storage hint (see TruthSource::packed_rows) and object
-  /// count, so the hot probe paths never touch the vtable.
-  const std::uint64_t* packed_ = nullptr;
-  std::size_t packed_stride_ = 0;
-  std::size_t n_objects_ = 0;
+  /// The truth matrix's flat row storage (player p's row at
+  /// rows_ + p * row_stride_), cached so the hot probe paths read bits with
+  /// no indirection through the matrix.
+  const std::uint64_t* rows_;
+  std::size_t row_stride_;
+  std::size_t n_objects_;
   bool serial_charges_ = false;
-  /// Workspace routing for gather staging; null until bind_policy().
-  const ExecPolicy* policy_ = nullptr;
   std::vector<std::atomic<std::uint64_t>> counts_;
 };
 

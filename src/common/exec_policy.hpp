@@ -118,13 +118,4 @@ class WorkerScope {
   RunWorkspace* prev_ws_ = nullptr;
 };
 
-/// Legacy free wrapper, kept for benches and tests only: a shim over the
-/// process-default policy. Library code takes an ExecPolicy (CL012).
-template <typename Body>
-void parallel_for(std::size_t begin, std::size_t end, Body&& body,
-                  std::size_t grain = 0) {
-  ExecPolicy::process_default().par_for(begin, end, std::forward<Body>(body),
-                                        grain);
-}
-
 }  // namespace colscore

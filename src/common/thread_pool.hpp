@@ -69,8 +69,8 @@ class ThreadPool {
 /// on its claimed index anyway). No-op for seconds <= 0.
 void sleep_for_seconds(double seconds);
 
-// The free parallel_for convenience template lives in exec_policy.hpp now
-// (a shim over ExecPolicy::process_default(), for benches and tests only);
-// library code threads an explicit ExecPolicy instead (lint rule CL012).
+// Library code does not drive a pool directly: parallel loops run through an
+// explicit ExecPolicy (exec_policy.hpp), and lint rule CL012 rejects the
+// ambient spellings.
 
 }  // namespace colscore

@@ -17,8 +17,8 @@
 //     (plain unit tests) fall back to a thread-local instance.
 //   * Buffers are grouped by owner (sel_* for the Select tournament, pf_*
 //     for the prefilter, zr_* for ZeroRadius adoption, vt_* for work-share
-//     voting, ze_* for ZeroRadius reassembly, probe_* for oracle staging,
-//     nb_* for the CSR neighbor-graph build).
+//     voting, ze_* for ZeroRadius reassembly, nb_* for the CSR
+//     neighbor-graph build).
 //     A function may only touch its own group, because nested frames on one
 //     thread are live simultaneously: select_prefiltered (pf_*) is still
 //     using its finalist list while the inner tournament (sel_*) runs, and
@@ -40,9 +40,6 @@ namespace colscore {
 struct RunWorkspace {
   /// This thread's workspace (created on first use, lives with the thread).
   static RunWorkspace& current();
-
-  // ---- oracle probe staging (ProbeOracle bulk reads) -----------------------
-  std::vector<std::uint64_t> probe_row_words;  // one full truth row, packed
 
   // ---- Select tournament (select.cpp play_general) -------------------------
   std::vector<std::uint64_t> sel_probed_words;  // probed? plane

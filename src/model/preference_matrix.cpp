@@ -1,5 +1,7 @@
 #include "src/model/preference_matrix.hpp"
 
+#include <algorithm>
+
 #include "src/common/assert.hpp"
 
 namespace colscore {
@@ -11,14 +13,6 @@ bool PreferenceMatrix::preference(PlayerId p, ObjectId o) const {
   CS_ASSERT(p < rows_.rows(), "preference: bad player");
   CS_ASSERT(o < n_objects_, "preference: bad object");
   return rows_.get(p, o);
-}
-
-void PreferenceMatrix::fill_row_words(PlayerId p, ObjectId first_object,
-                                      std::size_t n, std::uint64_t* out) const {
-  CS_ASSERT(p < rows_.rows(), "fill_row_words: bad player");
-  CS_ASSERT(first_object + n <= n_objects_, "fill_row_words: bad object range");
-  bitkernel::extract_bits(rows_.row(p).words().data(),
-                          bitkernel::word_count(n_objects_), first_object, n, out);
 }
 
 ConstBitRow PreferenceMatrix::row(PlayerId p) const {

@@ -5,34 +5,26 @@
 // diameter() run BitVector's word-parallel kernels over the views.
 #pragma once
 
-#include "src/board/probe_oracle.hpp"
+#include <span>
+
 #include "src/common/bitmatrix.hpp"
 #include "src/common/bitvector.hpp"
 #include "src/common/types.hpp"
 
 namespace colscore {
 
-class PreferenceMatrix final : public TruthSource {
+class PreferenceMatrix {
  public:
   PreferenceMatrix() = default;
   PreferenceMatrix(std::size_t n_players, std::size_t n_objects);
 
-  bool preference(PlayerId p, ObjectId o) const override;
-  std::size_t n_players() const override { return rows_.rows(); }
-  std::size_t n_objects() const override { return n_objects_; }
+  bool preference(PlayerId p, ObjectId o) const;
+  std::size_t n_players() const { return rows_.rows(); }
+  std::size_t n_objects() const { return n_objects_; }
 
-  /// Native packed bulk read straight off the BitMatrix row: a word copy
-  /// when the range is aligned, a funnel shift otherwise — never a per-bit
-  /// virtual call. See TruthSource::fill_row_words for the contract.
-  void fill_row_words(PlayerId p, ObjectId first_object, std::size_t n,
-                      std::uint64_t* out) const override;
-
-  /// Rows are one flat cache-line-strided allocation, so the oracle can
-  /// read bits with no virtual dispatch at all.
-  const std::uint64_t* packed_rows(std::size_t* word_stride) const override {
-    *word_stride = rows_.word_stride();
-    return rows_.words();
-  }
+  /// The packed rows: one flat cache-line-strided allocation, so the probe
+  /// oracle reads truth bits with inline word math.
+  const BitMatrix& rows() const { return rows_; }
 
   ConstBitRow row(PlayerId p) const;
   BitRow row(PlayerId p);

@@ -40,12 +40,6 @@ NeighborGraph::NeighborGraph(const BitMatrix& z, std::size_t threshold,
   build(z.row_views(), threshold, backend, policy, nullptr);
 }
 
-NeighborGraph::NeighborGraph(std::span<const BitVector> z, std::size_t threshold,
-                             GraphBackend backend, const ExecPolicy& policy) {
-  std::vector<ConstBitRow> views(z.begin(), z.end());
-  build(views, threshold, backend, policy, nullptr);
-}
-
 ConstBitRow NeighborGraph::row(PlayerId p) const {
   CS_ASSERT(backend_ == GraphBackend::kDense,
             "NeighborGraph::row needs the dense backend, but this graph "

@@ -86,9 +86,6 @@ class NeighborGraph {
   NeighborGraph(const BitMatrix& z, std::size_t threshold,
                 GraphBackend backend = GraphBackend::kAuto,
                 const ExecPolicy& policy = ExecPolicy::process_default());
-  NeighborGraph(std::span<const BitVector> z, std::size_t threshold,
-                GraphBackend backend = GraphBackend::kAuto,
-                const ExecPolicy& policy = ExecPolicy::process_default());
 
   /// The resolved backend (never kAuto). Stable across apply_updates — a
   /// rebuild epoch keeps the backend resolved at construction so the
@@ -193,11 +190,5 @@ struct Clustering {
 /// backend with identical output (neighbor walks visit the same ids in the
 /// same ascending order both ways).
 Clustering cluster_players(const NeighborGraph& graph, std::size_t min_cluster);
-
-/// Compat overload: `z` was only ever a diagnostics hook and is ignored.
-inline Clustering cluster_players(const NeighborGraph& graph, std::size_t min_cluster,
-                                  std::span<const BitVector> /*z*/) {
-  return cluster_players(graph, min_cluster);
-}
 
 }  // namespace colscore

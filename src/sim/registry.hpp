@@ -16,9 +16,8 @@
 // dishonest=20"): three names plus key=value overrides, round-trippable
 // through parse()/to_string(). `Scenario::resolve()` validates the names,
 // applies registered defaults then user overrides, and yields the numeric
-// config that `run_scenario()` executes. The legacy enum API in
-// src/sim/experiment.hpp is a thin compatibility shim over these entry
-// points.
+// config that `run_scenario()` executes; a Scenario built field by field
+// runs the same way.
 #pragma once
 
 #include <functional>
@@ -67,8 +66,9 @@ struct ScenarioSpec {
 };
 
 /// Resolved, ready-to-run scenario: the numeric configuration after registry
-/// defaults and spec overrides are applied. Field defaults mirror the legacy
-/// ExperimentConfig so directly-constructed scenarios behave identically.
+/// defaults and spec overrides are applied. A directly constructed Scenario
+/// skips resolve(), so no registered defaults apply: the field defaults
+/// below are the whole configuration.
 struct Scenario {
   std::string workload = "planted";
   std::string adversary = "none";
@@ -422,7 +422,7 @@ class Registry {
 };
 
 /// The three singleton registries. First use registers the built-in entries
-/// (every legacy enum value plus its historical CLI aliases).
+/// (plus their historical CLI aliases).
 class WorkloadRegistry : public Registry<WorkloadEntry> {
  public:
   static WorkloadRegistry& instance();

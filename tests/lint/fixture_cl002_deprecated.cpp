@@ -1,6 +1,6 @@
 // lint-fixture-as: src/protocols/fixture_probe.cpp
-// CL002: the removed uint8-out batch probes must not reappear, under any
-// spelling (declaration, call, or qualified mention).
+// CL002: removed probe-pipeline names must not reappear, under any spelling
+// (declaration, call, or qualified mention).
 #include "src/board/probe_oracle.hpp"
 
 namespace colscore {
@@ -12,6 +12,14 @@ void fixture_deprecated_calls(ProbeOracle& oracle, ProtocolEnv& env,
   env.own_probe_many(1, slate, out);   // VIOLATION
   BitVector bits(slate.size());
   env.own_probe_bits(1, slate, bits);  // the sanctioned form: fine
+}
+
+class FixtureTruth : public TruthSource {};  // VIOLATION
+
+void fixture_unpacked_gather(ProbeOracle& oracle, std::span<const ObjectId> slate,
+                             BitRow out) {
+  oracle.gather_unpacked(0, slate, out);  // VIOLATION
+  oracle.probe_gather(0, slate, out);     // the sanctioned form: fine
 }
 
 }  // namespace colscore

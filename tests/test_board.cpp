@@ -59,7 +59,9 @@ TEST(ProbeOracle, HardBudgetAborts) {
 TEST(ProbeOracle, ConcurrentProbesCountExactly) {
   const PreferenceMatrix m = small_matrix();
   ProbeOracle oracle(m);
-  parallel_for(0, 1000, [&](std::size_t) { oracle.probe(0, 0); });
+  ThreadPool pool(4);
+  const ExecPolicy policy = ExecPolicy::pool(pool);
+  policy.par_for(0, 1000, [&](std::size_t) { oracle.probe(0, 0); });
   EXPECT_EQ(oracle.probes_by(0), 1000u);
 }
 
@@ -241,7 +243,9 @@ TEST(BulletinBoard, AllReportsCollectsChannel) {
 
 TEST(BulletinBoard, ConcurrentPostsAllLand) {
   BulletinBoard board;
-  parallel_for(0, 2000, [&](std::size_t i) {
+  ThreadPool pool(4);
+  const ExecPolicy policy = ExecPolicy::pool(pool);
+  policy.par_for(0, 2000, [&](std::size_t i) {
     board.post_report(3, static_cast<PlayerId>(i), static_cast<ObjectId>(i % 16),
                       true);
   });

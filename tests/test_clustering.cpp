@@ -18,6 +18,11 @@ std::vector<BitVector> grouped_vectors(std::size_t n, std::size_t groups,
   return z;
 }
 
+/// Zero-copy views of the rows, the form NeighborGraph takes.
+std::vector<ConstBitRow> views(const std::vector<BitVector>& z) {
+  return std::vector<ConstBitRow>(z.begin(), z.end());
+}
+
 TEST(NeighborGraph, EdgesRespectThreshold) {
   std::vector<BitVector> z;
   z.push_back(BitVector(32));
@@ -27,7 +32,7 @@ TEST(NeighborGraph, EdgesRespectThreshold) {
   z.push_back(close);  // distance 2
   BitVector far(32, true);
   z.push_back(far);  // distance 32 / 30
-  const NeighborGraph g(z, 2);
+  const NeighborGraph g(views(z), 2);
   EXPECT_TRUE(g.has_edge(0, 1));
   EXPECT_TRUE(g.has_edge(1, 0));
   EXPECT_FALSE(g.has_edge(0, 2));
@@ -40,15 +45,15 @@ TEST(NeighborGraph, SymmetricByConstruction) {
   Rng rng(1);
   std::vector<BitVector> z;
   for (int i = 0; i < 20; ++i) z.push_back(random_bitvector(64, rng));
-  const NeighborGraph g(z, 28);
+  const NeighborGraph g(views(z), 28);
   for (PlayerId p = 0; p < 20; ++p)
     for (PlayerId q = 0; q < 20; ++q)
       EXPECT_EQ(g.has_edge(p, q), g.has_edge(q, p));
 }
 
 TEST(NeighborGraph, BitMatrixAndBitVectorFamiliesAgree) {
-  // The BitMatrix overload must produce the same edge set as the legacy
-  // std::vector<BitVector> one (same early-exit threshold semantics).
+  // The BitMatrix overload must produce the same edge set as row views of
+  // the same vectors (same early-exit threshold semantics).
   Rng rng(9);
   const std::size_t n = 33, dim = 200;
   std::vector<BitVector> zv;
@@ -58,7 +63,7 @@ TEST(NeighborGraph, BitMatrixAndBitVectorFamiliesAgree) {
     zm.row(i) = zv.back();
   }
   for (std::size_t tau : {0UL, 90UL, 100UL, 110UL, dim}) {
-    const NeighborGraph a(zv, tau);
+    const NeighborGraph a(views(zv), tau);
     const NeighborGraph b(zm, tau);
     for (PlayerId p = 0; p < n; ++p) {
       for (PlayerId q = 0; q < n; ++q) {
@@ -73,8 +78,8 @@ TEST(NeighborGraph, BitMatrixAndBitVectorFamiliesAgree) {
 TEST(ClusterPlayers, RecoversCleanGroups) {
   Rng rng(2);
   const auto z = grouped_vectors(60, 3, 128, rng);
-  const NeighborGraph g(z, 10);
-  const Clustering c = cluster_players(g, /*min_cluster=*/20, z);
+  const NeighborGraph g(views(z), 10);
+  const Clustering c = cluster_players(g, /*min_cluster=*/20);
   EXPECT_EQ(c.clusters.size(), 3u);
   EXPECT_EQ(c.min_cluster_size(), 20u);
   EXPECT_EQ(c.max_cluster_size(), 20u);
@@ -87,8 +92,8 @@ TEST(ClusterPlayers, RecoversCleanGroups) {
 TEST(ClusterPlayers, EveryPlayerAssignedExactlyOnce) {
   Rng rng(3);
   const auto z = grouped_vectors(45, 3, 64, rng);
-  const NeighborGraph g(z, 5);
-  const Clustering c = cluster_players(g, 15, z);
+  const NeighborGraph g(views(z), 5);
+  const Clustering c = cluster_players(g, 15);
   std::vector<int> seen(45, 0);
   for (const auto& cluster : c.clusters)
     for (PlayerId p : cluster) ++seen[p];
@@ -108,8 +113,8 @@ TEST(ClusterPlayers, LeftoverAttachesToNeighborCluster) {
   nearby.flip(1);
   nearby.flip(2);
   z.push_back(nearby);  // distance 3 from the group
-  const NeighborGraph g(z, 2);  // the extra player has NO edges at tau=2
-  const Clustering c = cluster_players(g, 20, z);
+  const NeighborGraph g(views(z), 2);  // the extra player has NO edges at tau=2
+  const Clustering c = cluster_players(g, 20);
   // The orphan pools into its own residual cluster — it must NOT pollute the
   // real cluster's votes.
   EXPECT_EQ(c.clusters.size(), 2u);
@@ -126,8 +131,8 @@ TEST(ClusterPlayers, LeftoverViaRemovedNeighbor) {
   BitVector fringe = z[0];
   fringe.flip(0);  // distance 1: adjacent at tau=1
   z.push_back(fringe);
-  const NeighborGraph g(z, 1);
-  const Clustering c = cluster_players(g, 21, z);
+  const NeighborGraph g(views(z), 1);
+  const Clustering c = cluster_players(g, 21);
   ASSERT_EQ(c.clusters.size(), 1u);
   EXPECT_EQ(c.cluster_of[20], 0u);
   EXPECT_EQ(c.clusters[0].size(), 21u);
@@ -138,8 +143,8 @@ TEST(ClusterPlayers, NoClustersWhenGraphTooSparse) {
   Rng rng(6);
   std::vector<BitVector> z;
   for (int i = 0; i < 10; ++i) z.push_back(random_bitvector(256, rng));
-  const NeighborGraph g(z, 4);  // essentially no edges
-  const Clustering c = cluster_players(g, 5, z);
+  const NeighborGraph g(views(z), 4);  // essentially no edges
+  const Clustering c = cluster_players(g, 5);
   // Everyone becomes an orphan in one fallback cluster.
   EXPECT_GE(c.orphans, 9u);
   for (PlayerId p = 0; p < 10; ++p)
@@ -152,8 +157,8 @@ TEST(ClusterPlayers, DiameterStaysBoundedOnPlanted) {
   const World w = planted_clusters(80, 256, 4, D, Rng(7));
   std::vector<BitVector> z;
   for (PlayerId p = 0; p < 80; ++p) z.push_back(w.matrix.row(p));
-  const NeighborGraph g(z, D);  // true distances as the estimate
-  const Clustering c = cluster_players(g, 20, z);
+  const NeighborGraph g(views(z), D);  // true distances as the estimate
+  const Clustering c = cluster_players(g, 20);
   for (const auto& cluster : c.clusters) {
     EXPECT_LE(w.matrix.diameter(cluster), 4 * D);
   }
@@ -175,8 +180,8 @@ TEST(Clustering, MinClusterSizeOfEmptyClusteringIsZero) {
 TEST(ClusterPlayers, MinClusterOneDegenerates) {
   Rng rng(8);
   std::vector<BitVector> z = grouped_vectors(6, 2, 64, rng);
-  const NeighborGraph g(z, 5);
-  const Clustering c = cluster_players(g, 1, z);
+  const NeighborGraph g(views(z), 5);
+  const Clustering c = cluster_players(g, 1);
   for (PlayerId p = 0; p < 6; ++p)
     EXPECT_NE(c.cluster_of[p], Clustering::kNoClusterAssigned);
 }
@@ -188,8 +193,8 @@ TEST_P(ClusteringGroupSweep, RecoversPlantedPartition) {
   const auto [groups, per_group] = GetParam();
   Rng rng(groups * 131 + per_group);
   const auto z = grouped_vectors(groups * per_group, groups, 256, rng);
-  const NeighborGraph g(z, 20);
-  const Clustering c = cluster_players(g, per_group, z);
+  const NeighborGraph g(views(z), 20);
+  const Clustering c = cluster_players(g, per_group);
   EXPECT_EQ(c.clusters.size(), groups);
   EXPECT_EQ(c.min_cluster_size(), per_group);
 }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/board/bulletin_board.hpp"
+#include "src/board/probe_oracle.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/exec_policy.hpp"
 #include "src/common/thread_pool.hpp"

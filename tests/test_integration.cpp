@@ -1,6 +1,6 @@
-// Integration tests through the sim::run_experiment entry point — the same
-// path benches and examples use.
-#include "src/sim/experiment.hpp"
+// Integration tests through the run_scenario entry point on directly
+// constructed Scenarios — the same path the CLI, benches and examples use.
+#include "src/sim/registry.hpp"
 
 #include <gtest/gtest.h>
 
@@ -8,12 +8,12 @@ namespace colscore {
 namespace {
 
 TEST(Experiment, PlantedClustersEndToEnd) {
-  ExperimentConfig config;
+  Scenario config;
   config.n = 128;
   config.budget = 4;
   config.diameter = 8;
   config.seed = 1;
-  const ExperimentOutcome out = run_experiment(config);
+  const ExperimentOutcome out = run_scenario(config);
   EXPECT_EQ(out.honest_players, 128u);
   EXPECT_LE(out.error.max_error, 3 * 8u);
   EXPECT_GT(out.max_probes, 0u);
@@ -21,28 +21,24 @@ TEST(Experiment, PlantedClustersEndToEnd) {
 }
 
 TEST(Experiment, EveryWorkloadRuns) {
-  for (WorkloadKind w :
-       {WorkloadKind::kPlantedClusters, WorkloadKind::kIdenticalClusters,
-        WorkloadKind::kLowerBound, WorkloadKind::kChained,
-        WorkloadKind::kUniformRandom, WorkloadKind::kTwoBlocks}) {
-    ExperimentConfig config;
+  for (const char* w :
+       {"planted", "identical", "lower_bound", "chained", "uniform", "two_blocks"}) {
+    Scenario config;
     config.n = 64;
     config.budget = 4;
     config.diameter = 4;
     config.workload = w;
     config.seed = 2;
     config.compute_opt = false;
-    const ExperimentOutcome out = run_experiment(config);
-    EXPECT_EQ(out.honest_players, 64u) << ExperimentConfig::workload_name(w);
+    const ExperimentOutcome out = run_scenario(config);
+    EXPECT_EQ(out.honest_players, 64u) << w;
   }
 }
 
 TEST(Experiment, EveryAlgorithmRuns) {
-  for (AlgorithmKind a :
-       {AlgorithmKind::kCalculatePreferences, AlgorithmKind::kRobust,
-        AlgorithmKind::kProbeAll, AlgorithmKind::kRandomGuess,
-        AlgorithmKind::kOracleClusters, AlgorithmKind::kSampleAndShare}) {
-    ExperimentConfig config;
+  for (const char* a : {"calculate_preferences", "robust", "probe_all",
+                        "random_guess", "oracle_clusters", "sample_and_share"}) {
+    Scenario config;
     config.n = 64;
     config.budget = 4;
     config.diameter = 4;
@@ -50,17 +46,15 @@ TEST(Experiment, EveryAlgorithmRuns) {
     config.seed = 3;
     config.robust_outer_reps = 2;
     config.compute_opt = false;
-    const ExperimentOutcome out = run_experiment(config);
-    EXPECT_EQ(out.honest_players, 64u) << ExperimentConfig::algorithm_name(a);
+    const ExperimentOutcome out = run_scenario(config);
+    EXPECT_EQ(out.honest_players, 64u) << a;
   }
 }
 
 TEST(Experiment, EveryAdversaryRuns) {
-  for (AdversaryKind a :
-       {AdversaryKind::kRandomLiar, AdversaryKind::kInverter,
-        AdversaryKind::kConstantOne, AdversaryKind::kTargetedBias,
-        AdversaryKind::kHijacker, AdversaryKind::kSleeper}) {
-    ExperimentConfig config;
+  for (const char* a : {"random_liar", "inverter", "constant_one",
+                        "targeted_bias", "hijacker", "sleeper"}) {
+    Scenario config;
     config.n = 96;
     config.budget = 4;
     config.diameter = 6;
@@ -68,73 +62,66 @@ TEST(Experiment, EveryAdversaryRuns) {
     config.dishonest = 8;  // n/(3B) = 8
     config.seed = 4;
     config.compute_opt = false;
-    const ExperimentOutcome out = run_experiment(config);
-    EXPECT_EQ(out.honest_players, 96u - 8u) << ExperimentConfig::adversary_name(a);
-    EXPECT_LE(out.error.max_error, 30u) << ExperimentConfig::adversary_name(a);
+    const ExperimentOutcome out = run_scenario(config);
+    EXPECT_EQ(out.honest_players, 96u - 8u) << a;
+    EXPECT_LE(out.error.max_error, 30u) << a;
   }
 }
 
 TEST(Experiment, RobustAlgorithmReportsLeaders) {
-  ExperimentConfig config;
+  Scenario config;
   config.n = 96;
   config.budget = 4;
   config.diameter = 6;
-  config.algorithm = AlgorithmKind::kRobust;
+  config.algorithm = "robust";
   config.robust_outer_reps = 3;
   config.seed = 5;
   config.compute_opt = false;
-  const ExperimentOutcome out = run_experiment(config);
+  const ExperimentOutcome out = run_scenario(config);
   EXPECT_EQ(out.honest_leader_reps, 3u);  // all honest
 }
 
 TEST(Experiment, ProbeAllIsExact) {
-  ExperimentConfig config;
+  Scenario config;
   config.n = 64;
   config.budget = 4;
-  config.algorithm = AlgorithmKind::kProbeAll;
+  config.algorithm = "probe_all";
   config.seed = 6;
   config.compute_opt = false;
-  const ExperimentOutcome out = run_experiment(config);
+  const ExperimentOutcome out = run_scenario(config);
   EXPECT_EQ(out.error.max_error, 0u);
   EXPECT_EQ(out.max_probes, 64u);
 }
 
 TEST(Experiment, OutcomeDeterministicInSeed) {
-  ExperimentConfig config;
+  Scenario config;
   config.n = 96;
   config.budget = 4;
   config.diameter = 8;
   config.seed = 7;
   config.compute_opt = false;
-  const ExperimentOutcome a = run_experiment(config);
-  const ExperimentOutcome b = run_experiment(config);
+  const ExperimentOutcome a = run_scenario(config);
+  const ExperimentOutcome b = run_scenario(config);
   EXPECT_EQ(a.error.max_error, b.error.max_error);
   EXPECT_EQ(a.total_probes, b.total_probes);
 }
 
 TEST(Experiment, SeedChangesOutcome) {
-  ExperimentConfig config;
+  Scenario config;
   config.n = 96;
   config.budget = 4;
   config.diameter = 8;
   config.compute_opt = false;
   config.seed = 8;
-  const ExperimentOutcome a = run_experiment(config);
+  const ExperimentOutcome a = run_scenario(config);
   config.seed = 9;
-  const ExperimentOutcome b = run_experiment(config);
+  const ExperimentOutcome b = run_scenario(config);
   // Different worlds -> almost surely different probe totals.
   EXPECT_NE(a.total_probes, b.total_probes);
 }
 
-TEST(Experiment, NamesAreStable) {
-  EXPECT_EQ(ExperimentConfig::workload_name(WorkloadKind::kPlantedClusters),
-            "planted");
-  EXPECT_EQ(ExperimentConfig::adversary_name(AdversaryKind::kHijacker), "hijacker");
-  EXPECT_EQ(ExperimentConfig::algorithm_name(AlgorithmKind::kRobust), "robust");
-}
-
 TEST(Experiment, ZipfSizesStillWork) {
-  ExperimentConfig config;
+  Scenario config;
   config.n = 128;
   config.budget = 4;
   config.diameter = 8;
@@ -142,7 +129,7 @@ TEST(Experiment, ZipfSizesStillWork) {
   config.n_clusters = 3;
   config.seed = 10;
   config.compute_opt = false;
-  const ExperimentOutcome out = run_experiment(config);
+  const ExperimentOutcome out = run_scenario(config);
   // Zipf sizes can push small clusters below n/B; the protocol may degrade
   // for those players but must not crash, and big-cluster players stay good.
   EXPECT_EQ(out.honest_players, 128u);
@@ -151,14 +138,14 @@ TEST(Experiment, ZipfSizesStillWork) {
 TEST(Experiment, LowerBoundInstanceHonoursClaim2Shape) {
   // On the adversarial distribution, even our protocol cannot beat ~D/4 for
   // the pivot player: its group members are random on the special set.
-  ExperimentConfig config;
+  Scenario config;
   config.n = 128;
   config.budget = 8;
   config.diameter = 32;
-  config.workload = WorkloadKind::kLowerBound;
+  config.workload = "lower_bound";
   config.seed = 11;
   config.compute_opt = false;
-  const ExperimentOutcome out = run_experiment(config);
+  const ExperimentOutcome out = run_scenario(config);
   // The pivot group's predictions on S are majority-of-random: expected
   // error ~ D/2 for disagreeing members; Claim 2 lower bound is D/4.
   EXPECT_GE(out.error.max_error, 32u / 4);

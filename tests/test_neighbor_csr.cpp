@@ -35,6 +35,11 @@ std::vector<BitVector> planted_z(std::size_t n, std::size_t groups,
   return z;
 }
 
+/// Zero-copy views of the rows, the form NeighborGraph takes.
+std::vector<ConstBitRow> views(const std::vector<BitVector>& z) {
+  return std::vector<ConstBitRow>(z.begin(), z.end());
+}
+
 void expect_same_edges(const NeighborGraph& dense, const NeighborGraph& csr) {
   ASSERT_EQ(dense.size(), csr.size());
   const std::size_t n = dense.size();
@@ -56,8 +61,8 @@ void expect_same_clustering(const Clustering& a, const Clustering& b) {
 TEST(NeighborCsr, EdgeSetMatchesDenseOnFixedSeeds) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     const std::vector<BitVector> z = planted_z(96, 8, 256, Rng(seed));
-    const NeighborGraph dense(z, 40, GraphBackend::kDense);
-    const NeighborGraph csr(z, 40, GraphBackend::kCsr);
+    const NeighborGraph dense(views(z), 40, GraphBackend::kDense);
+    const NeighborGraph csr(views(z), 40, GraphBackend::kCsr);
     EXPECT_EQ(dense.backend(), GraphBackend::kDense);
     EXPECT_EQ(csr.backend(), GraphBackend::kCsr);
     expect_same_edges(dense, csr);
@@ -68,7 +73,7 @@ TEST(NeighborCsr, AdjacencyListsAreAscending) {
   // The scatter relies on tile-order generation producing sorted rows with
   // no sort call; this is the invariant binary-search has_edge needs.
   const std::vector<BitVector> z = planted_z(150, 10, 192, Rng(7));
-  const NeighborGraph csr(z, 36, GraphBackend::kCsr);
+  const NeighborGraph csr(views(z), 36, GraphBackend::kCsr);
   for (PlayerId p = 0; p < csr.size(); ++p) {
     const std::span<const std::uint32_t> nb = csr.neighbors(p);
     for (std::size_t i = 1; i < nb.size(); ++i)
@@ -80,8 +85,8 @@ TEST(NeighborCsr, AdjacencyListsAreAscending) {
 TEST(NeighborCsr, ClusteringIdenticalAcrossBackends) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
     const std::vector<BitVector> z = planted_z(120, 6, 256, Rng(seed));
-    const NeighborGraph dense(z, 48, GraphBackend::kDense);
-    const NeighborGraph csr(z, 48, GraphBackend::kCsr);
+    const NeighborGraph dense(views(z), 48, GraphBackend::kDense);
+    const NeighborGraph csr(views(z), 48, GraphBackend::kCsr);
     expect_same_clustering(cluster_players(dense, 120 / 6),
                            cluster_players(csr, 120 / 6));
   }
@@ -92,8 +97,8 @@ TEST(NeighborCsr, ClusteringIdenticalWithSparseAndDenseGraphs) {
   // (sparse) and a loose-threshold (dense) graph on the same vectors.
   const std::vector<BitVector> z = planted_z(128, 16, 256, Rng(9));
   for (const std::size_t tau : {8ul, 60ul, 140ul}) {
-    const NeighborGraph dense(z, tau, GraphBackend::kDense);
-    const NeighborGraph csr(z, tau, GraphBackend::kCsr);
+    const NeighborGraph dense(views(z), tau, GraphBackend::kDense);
+    const NeighborGraph csr(views(z), tau, GraphBackend::kCsr);
     expect_same_edges(dense, csr);
     expect_same_clustering(cluster_players(dense, 8),
                            cluster_players(csr, 8));
@@ -103,9 +108,11 @@ TEST(NeighborCsr, ClusteringIdenticalWithSparseAndDenseGraphs) {
 TEST(NeighborCsr, ClusteringIdenticalUnderThreading) {
   // The parallel tile sweep must not leak schedule into the CSR layout.
   const std::vector<BitVector> z = planted_z(200, 10, 256, Rng(5));
-  const NeighborGraph serial(z, 48, GraphBackend::kCsr, ExecPolicy::serial());
+  const NeighborGraph serial(views(z), 48, GraphBackend::kCsr,
+                             ExecPolicy::serial());
   ThreadPool pool(4);
-  const NeighborGraph threaded(z, 48, GraphBackend::kCsr, ExecPolicy::pool(pool));
+  const NeighborGraph threaded(views(z), 48, GraphBackend::kCsr,
+                               ExecPolicy::pool(pool));
   ASSERT_EQ(serial.size(), threaded.size());
   for (PlayerId p = 0; p < serial.size(); ++p) {
     const std::span<const std::uint32_t> a = serial.neighbors(p);
@@ -118,13 +125,13 @@ TEST(NeighborCsr, ClusteringIdenticalUnderThreading) {
 TEST(NeighborCsr, AutoSelectsDenseForSmallN) {
   // Below the n floor the heuristic never picks CSR, whatever the density.
   const std::vector<BitVector> z = planted_z(64, 4, 128, Rng(3));
-  const NeighborGraph g(z, 10, GraphBackend::kAuto);
+  const NeighborGraph g(views(z), 10, GraphBackend::kAuto);
   EXPECT_EQ(g.backend(), GraphBackend::kDense);
 }
 
 TEST(NeighborCsr, DensityEstimateIsDeterministicAndOrdered) {
   const std::vector<BitVector> zv = planted_z(256, 16, 128, Rng(21));
-  const std::vector<ConstBitRow> z(zv.begin(), zv.end());
+  const std::vector<ConstBitRow> z = views(zv);
   const double tight = estimate_edge_density(z, 4);
   const double loose = estimate_edge_density(z, 120);
   EXPECT_EQ(tight, estimate_edge_density(z, 4));  // pure function of input
@@ -135,13 +142,13 @@ TEST(NeighborCsr, DensityEstimateIsDeterministicAndOrdered) {
 
 TEST(NeighborCsr, DegenerateSizes) {
   const std::vector<BitVector> one{BitVector(64)};
-  const NeighborGraph g1(one, 4, GraphBackend::kCsr);
+  const NeighborGraph g1(views(one), 4, GraphBackend::kCsr);
   EXPECT_EQ(g1.size(), 1u);
   EXPECT_EQ(g1.degree(0), 0u);
   EXPECT_TRUE(g1.neighbors(0).empty());
 
   const std::vector<BitVector> none;
-  const NeighborGraph g0(none, 4, GraphBackend::kCsr);
+  const NeighborGraph g0(views(none), 4, GraphBackend::kCsr);
   EXPECT_EQ(g0.size(), 0u);
 }
 

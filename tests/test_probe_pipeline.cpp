@@ -24,19 +24,34 @@ PreferenceMatrix random_matrix(std::size_t players, std::size_t objects,
   return m;
 }
 
-TEST(ProbePipeline, FillRowWordsMatchesPerBitDefault) {
-  // The native PreferenceMatrix bulk read must agree with the TruthSource
-  // per-bit fallback for every alignment, including cross-word ranges.
+TEST(ProbePipeline, RowReadsMatchPerBitPreference) {
+  // probe_row and adversary_peek_row move truth bits with word-level
+  // extract_bits; check them against the per-bit PreferenceMatrix reference
+  // for every alignment, including cross-word ranges, and check that the
+  // padding past n comes back zero even over an all-ones output buffer.
   for (const std::size_t objects : {5u, 64u, 65u, 100u, 256u, 300u}) {
     const PreferenceMatrix m = random_matrix(4, objects, 0xf111 + objects);
+    ProbeOracle oracle(m);
+    std::uint64_t charged = 0;
     for (ObjectId first = 0; first < objects; first += 3) {
       const std::size_t n = std::min<std::size_t>(objects - first, 77);
-      std::vector<std::uint64_t> native(bitkernel::word_count(n), ~0ULL);
-      std::vector<std::uint64_t> fallback(bitkernel::word_count(n), ~0ULL);
-      m.fill_row_words(1, first, n, native.data());
-      m.TruthSource::fill_row_words(1, first, n, fallback.data());
-      EXPECT_EQ(native, fallback) << "objects=" << objects << " first=" << first;
+      std::vector<std::uint64_t> probed(bitkernel::word_count(n), ~0ULL);
+      std::vector<std::uint64_t> peeked(bitkernel::word_count(n), ~0ULL);
+      oracle.probe_row(1, first, n, BitRow(probed.data(), n));
+      oracle.adversary_peek_row(1, first, n, BitRow(peeked.data(), n));
+      charged += n;
+      for (std::size_t i = 0; i < probed.size() * bitkernel::kWordBits; ++i) {
+        const bool want =
+            i < n && m.preference(1, static_cast<ObjectId>(first + i));
+        const std::uint64_t bit = 1ULL << (i % bitkernel::kWordBits);
+        EXPECT_EQ((probed[i / bitkernel::kWordBits] & bit) != 0, want)
+            << "objects=" << objects << " first=" << first << " i=" << i;
+        EXPECT_EQ((peeked[i / bitkernel::kWordBits] & bit) != 0, want)
+            << "objects=" << objects << " first=" << first << " i=" << i;
+      }
     }
+    EXPECT_EQ(oracle.probes_by(1), charged);  // peeks are free
+    EXPECT_EQ(oracle.total_probes(), charged);
   }
 }
 

@@ -5,7 +5,7 @@
 
 #include "src/core/calculate_preferences.hpp"
 #include "src/metrics/error.hpp"
-#include "src/sim/experiment.hpp"
+#include "src/sim/registry.hpp"
 #include "tests/test_util.hpp"
 
 namespace colscore {
@@ -65,15 +65,15 @@ TEST(StrangeColluder, VotesWithMinorityOnStrangeObjects) {
 TEST(StrangeColluder, ProtocolHoldsAtToleranceBound) {
   // The headline check: even the optimal voting attack cannot push honest
   // error past O(D) when the colluders are at most n/(3B) (Lemma 13).
-  ExperimentConfig config;
+  Scenario config;
   config.n = 256;
   config.budget = 8;
   config.diameter = 12;
-  config.adversary = AdversaryKind::kStrangeColluder;
+  config.adversary = "strange_colluder";
   config.dishonest = config.n / (3 * config.budget);
   config.seed = 8;
   config.compute_opt = false;
-  const ExperimentOutcome out = run_experiment(config);
+  const ExperimentOutcome out = run_scenario(config);
   EXPECT_LE(out.error.max_error, 4 * 12u);
 }
 
@@ -81,8 +81,8 @@ TEST(StrangeColluder, StrongerThanSleeperNeverWeakerThanBound) {
   // The strange-object attack targets exactly the votes that can flip;
   // compare both at the same corruption level — both must stay within the
   // Lemma 12/13 envelope, and the protocol must not collapse under either.
-  for (AdversaryKind adv : {AdversaryKind::kSleeper, AdversaryKind::kStrangeColluder}) {
-    ExperimentConfig config;
+  for (const char* adv : {"sleeper", "strange_colluder"}) {
+    Scenario config;
     config.n = 192;
     config.budget = 8;
     config.diameter = 12;
@@ -90,9 +90,8 @@ TEST(StrangeColluder, StrongerThanSleeperNeverWeakerThanBound) {
     config.dishonest = config.n / (3 * config.budget);
     config.seed = 9;
     config.compute_opt = false;
-    const ExperimentOutcome out = run_experiment(config);
-    EXPECT_LE(out.error.max_error, 4 * 12u)
-        << ExperimentConfig::adversary_name(adv);
+    const ExperimentOutcome out = run_scenario(config);
+    EXPECT_LE(out.error.max_error, 4 * 12u) << adv;
   }
 }
 
@@ -111,13 +110,13 @@ TEST(StrangeColluder, ParallelVotePhaseIsSafe) {
 }
 
 TEST(ExperimentOutcome, BoardTrafficAccounted) {
-  ExperimentConfig config;
+  Scenario config;
   config.n = 96;
   config.budget = 4;
   config.diameter = 8;
   config.seed = 12;
   config.compute_opt = false;
-  const ExperimentOutcome out = run_experiment(config);
+  const ExperimentOutcome out = run_scenario(config);
   EXPECT_GT(out.board_reports, 0u);   // vote-phase reports
   EXPECT_GT(out.board_vectors, 0u);   // ZeroRadius/SmallRadius publications
 }

@@ -83,13 +83,6 @@ TEST(ThreadPool, ThreadCountReported) {
   EXPECT_EQ(pool.thread_count(), 5u);
 }
 
-TEST(ThreadPool, FreeParallelForShimWorks) {
-  // The free function survives only as a shim over ExecPolicy::process_default.
-  std::atomic<std::size_t> sum{0};
-  parallel_for(0, 100, [&](std::size_t i) { sum.fetch_add(i); });
-  EXPECT_EQ(sum.load(), std::size_t{4950});
-}
-
 TEST(ThreadPool, PoolPolicyReportsWorkerCount) {
   ThreadPool pool(2);
   EXPECT_EQ(ExecPolicy::pool(pool).worker_count(), 2u);

@@ -13,32 +13,41 @@ from typing import List, Tuple
 
 from engine import Diagnostic, LintContext, Rule, SourceFile, make_diag
 
-# -- CL002: the deprecated uint8-out batch forms are gone ---------------------
+# -- CL002: removed probe-pipeline names stay gone -----------------------------
 
-_DEPRECATED = {
-    "probe_many": "ProbeOracle::probe_row / ProbeOracle::probe_gather",
-    "own_probe_many": "ProtocolEnv::own_probe_row / ProtocolEnv::own_probe_bits",
+# Removed name -> what to use instead (the diagnostic's advice).
+_REMOVED = {
+    "probe_many": "use ProbeOracle::probe_row / ProbeOracle::probe_gather",
+    "own_probe_many":
+        "use ProtocolEnv::own_probe_row / ProtocolEnv::own_probe_bits",
+    "TruthSource":
+        "ProbeOracle takes a const PreferenceMatrix& and reads its packed "
+        "rows directly",
+    "gather_unpacked":
+        "use ProbeOracle::probe_gather (truth rows are always packed)",
 }
 
 
 def _check_deprecated(sf: SourceFile, ctx: LintContext) -> List[Diagnostic]:
     out: List[Diagnostic] = []
     for tok in sf.tokens:
-        if tok.is_ident and tok.text in _DEPRECATED:
+        if tok.is_ident and tok.text in _REMOVED:
             out.append(make_diag(
                 RULE_DEPRECATED, sf, tok.line, tok.col,
-                f"'{tok.text}' was removed (deprecated in PR 5); use "
-                f"{_DEPRECATED[tok.text]}"))
+                f"'{tok.text}' was removed; {_REMOVED[tok.text]}"))
     return out
 
 
 RULE_DEPRECATED = Rule(
     rule_id="CL002",
     slug="deprecated-probe-api",
-    description="The removed uint8-out batch probes (probe_many / "
-                "own_probe_many) must not reappear.",
+    description="Removed probe-pipeline names (the uint8-out batch probes "
+                "probe_many / own_probe_many, the virtual TruthSource "
+                "interface and its unpacked gather fallback) must not "
+                "reappear.",
     hint="the BitRow forms carry identical charge semantics without the "
-         "per-bit unpack: probe_row / probe_gather / own_probe_bits",
+         "per-bit unpack, and ProbeOracle reads PreferenceMatrix rows "
+         "directly",
     check=_check_deprecated,
 )
 

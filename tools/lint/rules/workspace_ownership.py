@@ -1,7 +1,7 @@
 """CL001: RunWorkspace buffer-group ownership.
 
 The per-thread RunWorkspace (src/common/workspace.hpp) groups its scratch
-buffers by owner prefix (sel_, pf_, zr_, ze_, vt_, sr_, cp_, probe_*).  The
+buffers by owner prefix (sel_, pf_, zr_, ze_, vt_, sr_, nb_, cp_).  The
 contract -- nested frames on one thread are live simultaneously, so a
 function may only touch its own group -- exists in ROADMAP prose; this rule
 makes it executable.  The member list is parsed out of workspace.hpp itself,
@@ -21,7 +21,6 @@ WORKSPACE_HEADER = "src/common/workspace.hpp"
 # Which translation units own each buffer group.  A group may list several
 # files (a .cpp and the header that inlines part of the family).
 GROUP_OWNERS = {
-    "probe": ("src/board/probe_oracle.cpp", "src/board/probe_oracle.hpp"),
     "sel": ("src/protocols/select.cpp",),
     "pf": ("src/protocols/select.cpp",),
     "zr": ("src/protocols/zero_radius.cpp",),
