@@ -33,4 +33,15 @@ struct ProtocolResult {
   bool easy_case = false;
 };
 
+class ProbeOracle;
+
+/// Every player's probe counter now: the baseline fill_probe_deltas
+/// measures a run against.
+std::vector<std::uint64_t> probe_snapshot(const ProbeOracle& oracle);
+
+/// Sets the result's probe accounting (probes_by_player, total_probes,
+/// max_probes) to the charges made since `before` was taken.
+void fill_probe_deltas(ProtocolResult& result, const ProbeOracle& oracle,
+                       const std::vector<std::uint64_t>& before);
+
 }  // namespace colscore

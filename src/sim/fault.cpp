@@ -1,8 +1,8 @@
 #include "src/sim/fault.hpp"
 
 #include <csignal>
-#include <cstdlib>
 
+#include "src/common/strict_parse.hpp"
 #include "src/common/thread_pool.hpp"
 
 namespace colscore {
@@ -17,31 +17,17 @@ namespace {
 
 /// Strict non-negative integer ("3"; not "", "-1", "3.5").
 std::size_t parse_index(const std::string& token, const std::string& text) {
-  std::size_t used = 0;
-  std::size_t out = 0;
-  try {
-    if (text.empty() || text[0] == '-') throw ScenarioError("");
-    out = std::stoull(text, &used);
-  } catch (...) {
-    used = 0;
-  }
-  if (used != text.size())
-    bad_token(token, "'" + text + "' is not a non-negative integer");
-  return out;
+  const std::optional<std::uint64_t> index = parse_strict_u64(text);
+  if (!index) bad_token(token, "'" + text + "' is not a non-negative integer");
+  return static_cast<std::size_t>(*index);
 }
 
 /// Strict non-negative seconds ("0.5", "2").
 double parse_seconds(const std::string& token, const std::string& text) {
-  std::size_t used = 0;
-  double out = 0.0;
-  try {
-    out = std::stod(text, &used);
-  } catch (...) {
-    used = 0;
-  }
-  if (text.empty() || used != text.size() || out < 0)
+  const std::optional<double> seconds = parse_strict_f64(text);
+  if (!seconds || *seconds < 0)
     bad_token(token, "'" + text + "' is not a non-negative duration");
-  return out;
+  return *seconds;
 }
 
 /// Splits a trailing xA attempt count off `text` ("5x2" -> ("5", 2)).
@@ -101,12 +87,6 @@ FaultPlan FaultPlan::parse(std::string_view text) {
     plan.specs_.push_back(spec);
   }
   return plan;
-}
-
-FaultPlan FaultPlan::from_env() {
-  const char* text = std::getenv("COLSCORE_FAULTS");
-  if (text == nullptr) return {};
-  return parse(text);
 }
 
 bool FaultPlan::has_sink_faults() const {

@@ -63,9 +63,6 @@ class FaultPlan {
   /// token. An empty/whitespace spec yields an empty plan.
   static FaultPlan parse(std::string_view text);
 
-  /// Plan from COLSCORE_FAULTS (empty plan when unset or empty).
-  static FaultPlan from_env();
-
   bool empty() const { return specs_.empty(); }
   bool has_sink_faults() const;
   std::span<const FaultSpec> specs() const { return specs_; }

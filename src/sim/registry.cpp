@@ -8,6 +8,7 @@
 #include "src/baseline/baselines.hpp"
 #include "src/common/assert.hpp"
 #include "src/common/exec_policy.hpp"
+#include "src/common/strict_parse.hpp"
 #include "src/common/timer.hpp"
 #include "src/core/calculate_preferences.hpp"
 #include "src/protocols/env.hpp"
@@ -25,19 +26,9 @@ namespace {
 }
 
 std::uint64_t parse_u64(const std::string& key, const std::string& value) {
-  try {
-    // stoull silently wraps negatives ("-1" -> 2^64-1); reject them up front.
-    if (value.empty() || value[0] == '-')
-      bad_value(key, value, "an unsigned integer");
-    std::size_t used = 0;
-    const std::uint64_t v = std::stoull(value, &used);
-    if (used != value.size()) bad_value(key, value, "an unsigned integer");
-    return v;
-  } catch (const ScenarioError&) {
-    throw;
-  } catch (...) {
-    bad_value(key, value, "an unsigned integer");
-  }
+  const std::optional<std::uint64_t> v = parse_strict_u64(value);
+  if (!v) bad_value(key, value, "an unsigned integer");
+  return *v;
 }
 
 std::size_t parse_size(const std::string& key, const std::string& value) {
@@ -45,16 +36,9 @@ std::size_t parse_size(const std::string& key, const std::string& value) {
 }
 
 double parse_double(const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(value, &used);
-    if (used != value.size()) bad_value(key, value, "a number");
-    return v;
-  } catch (const ScenarioError&) {
-    throw;
-  } catch (...) {
-    bad_value(key, value, "a number");
-  }
+  const std::optional<double> v = parse_strict_f64(value);
+  if (!v) bad_value(key, value, "a number");
+  return *v;
 }
 
 bool parse_bool(const std::string& key, const std::string& value) {

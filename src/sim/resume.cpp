@@ -8,6 +8,8 @@
 #include "src/common/assert.hpp"
 #include "src/common/json.hpp"
 #include "src/common/log.hpp"
+#include "src/common/strict_parse.hpp"
+#include "src/sim/sink.hpp"
 
 #if defined(COLSCORE_HAVE_SQLITE)
 #include <sqlite3.h>
@@ -24,32 +26,6 @@ namespace {
 
 bool file_exists(const std::string& path) {
   return std::ifstream(path).good();
-}
-
-// ---- cell decoding ----------------------------------------------------------
-
-/// Strict u64 ("152489"; not "", "-1", "3.5", "1e3").
-bool parse_u64_text(const std::string& text, std::uint64_t& out) {
-  std::size_t used = 0;
-  try {
-    if (text.empty() || text[0] == '-') return false;
-    out = std::stoull(text, &used);
-  } catch (...) {
-    return false;
-  }
-  return used == text.size();
-}
-
-/// Strict f64; accepts the non-finite spellings ("nan", "inf", "-inf") the
-/// formatter emits.
-bool parse_f64_text(const std::string& text, double& out) {
-  std::size_t used = 0;
-  try {
-    out = std::stod(text, &used);
-  } catch (...) {
-    return false;
-  }
-  return !text.empty() && used == text.size();
 }
 
 // ---- text loading -----------------------------------------------------------
@@ -110,18 +86,20 @@ RunRecord decode_jsonl_row(const JsonValue& doc, const MetricSchema& schema,
     switch (spec.type) {
       case MetricType::kU64:
       case MetricType::kSize: {
-        std::uint64_t u = 0;
-        if (!v.is_number() || !parse_u64_text(v.text, u)) wrong_kind();
-        row.set_value(i, MetricValue::of_u64(u));
+        const std::optional<std::uint64_t> u =
+            v.is_number() ? parse_strict_u64(v.text) : std::nullopt;
+        if (!u) wrong_kind();
+        row.set_value(i, MetricValue::of_u64(*u));
         break;
       }
       case MetricType::kF64: {
         // Finite values are native numbers; non-finite ones are the quoted
         // spellings JsonlSink emits ("nan", "inf", "-inf").
-        double d = 0.0;
-        if ((!v.is_number() && !v.is_string()) || !parse_f64_text(v.text, d))
-          wrong_kind();
-        row.set_value(i, MetricValue::of_f64(d));
+        const std::optional<double> d =
+            v.is_number() || v.is_string() ? parse_strict_f64(v.text)
+                                           : std::nullopt;
+        if (!d) wrong_kind();
+        row.set_value(i, MetricValue::of_f64(*d));
         break;
       }
       case MetricType::kString:
@@ -228,15 +206,15 @@ void load_csv_rows(PriorOutput& out, const MetricSchema& schema) {
       switch (spec.type) {
         case MetricType::kU64:
         case MetricType::kSize: {
-          std::uint64_t u = 0;
-          if (!parse_u64_text(cells[i], u)) bad_cell();
-          row.set_value(i, MetricValue::of_u64(u));
+          const std::optional<std::uint64_t> u = parse_strict_u64(cells[i]);
+          if (!u) bad_cell();
+          row.set_value(i, MetricValue::of_u64(*u));
           break;
         }
         case MetricType::kF64: {
-          double d = 0.0;
-          if (!parse_f64_text(cells[i], d)) bad_cell();
-          row.set_value(i, MetricValue::of_f64(d));
+          const std::optional<double> d = parse_strict_f64(cells[i]);
+          if (!d) bad_cell();
+          row.set_value(i, MetricValue::of_f64(*d));
           break;
         }
         case MetricType::kString:
@@ -255,27 +233,6 @@ void load_csv_rows(PriorOutput& out, const MetricSchema& schema) {
 // ---- sqlite -----------------------------------------------------------------
 
 #if defined(COLSCORE_HAVE_SQLITE)
-
-std::string sqlite_quote_ident(const std::string& name) {
-  std::string out = "\"";
-  for (char c : name) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-const char* sqlite_affinity(MetricType type) {
-  switch (type) {
-    case MetricType::kU64:
-    case MetricType::kSize:
-    case MetricType::kBool: return "INTEGER";
-    case MetricType::kF64: return "REAL";
-    case MetricType::kString: return "TEXT";
-  }
-  return "TEXT";
-}
 
 void load_sqlite_rows(PriorOutput& out, const MetricSchema& schema) {
   sqlite3* db = nullptr;

@@ -207,8 +207,9 @@ namespace {
   throw ScenarioError(msg);
 }
 
-/// Double-quote a column name for DDL ("" escapes embedded quotes).
-std::string quote_ident(const std::string& name) {
+}  // namespace
+
+std::string sqlite_quote_ident(const std::string& name) {
   std::string out = "\"";
   for (char c : name) {
     if (c == '"') out += '"';
@@ -218,7 +219,7 @@ std::string quote_ident(const std::string& name) {
   return out;
 }
 
-const char* column_affinity(MetricType type) {
+const char* sqlite_affinity(MetricType type) {
   switch (type) {
     case MetricType::kU64:
     case MetricType::kSize:
@@ -228,8 +229,6 @@ const char* column_affinity(MetricType type) {
   }
   return "TEXT";
 }
-
-}  // namespace
 
 SqliteSink::SqliteSink(const SinkConfig& config)
     : append_(config.append),
@@ -304,7 +303,7 @@ void SqliteSink::begin(const MetricSchema& schema) {
       create += ", ";
       insert += ",";
     }
-    create += quote_ident(spec.key) + " " + column_affinity(spec.type);
+    create += sqlite_quote_ident(spec.key) + " " + sqlite_affinity(spec.type);
     insert += "?";
     types_.push_back(spec.type);
   }
@@ -362,9 +361,9 @@ void SqliteSink::create_or_validate_table(const MetricSchema& schema,
     if (existing[i].first != spec.key)
       mismatch("column " + std::to_string(i) + " is '" + existing[i].first +
                "' where the schema has '" + spec.key + "'");
-    if (existing[i].second != column_affinity(spec.type))
+    if (existing[i].second != sqlite_affinity(spec.type))
       mismatch("column '" + spec.key + "' is " + existing[i].second +
-               " where the schema needs " + column_affinity(spec.type));
+               " where the schema needs " + sqlite_affinity(spec.type));
   }
 }
 

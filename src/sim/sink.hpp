@@ -174,6 +174,12 @@ class JsonlSink : public ResultSink {
 };
 
 #if defined(COLSCORE_HAVE_SQLITE)
+/// DDL spellings shared by SqliteSink and the resume decoder: a
+/// double-quoted column name ("" escapes an embedded quote) and a metric
+/// type's column affinity.
+std::string sqlite_quote_ident(const std::string& name);
+const char* sqlite_affinity(MetricType type);
+
 /// Sqlite database with a single `runs` table whose columns mirror the
 /// schema with real affinities: INTEGER for u64/size/bool, REAL for f64,
 /// TEXT for strings; absent metrics are NULL. u64 values are stored as

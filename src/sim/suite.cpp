@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "src/common/exec_policy.hpp"
+#include "src/common/strict_parse.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/common/timer.hpp"
 #include "src/sim/fault.hpp"
@@ -70,21 +71,12 @@ std::size_t take_reps_axis(std::vector<GridAxis>& axes) {
           "robust algorithm's outer repetitions, set them on the base spec: "
           "--set reps=R)");
     const std::string& value = it->values.front();
-    // stoull silently wraps negatives ("-2" -> huge), so reject them up
-    // front like the registry's override parser does.
-    std::size_t used = 0;
-    std::size_t reps = 0;
-    try {
-      if (value.empty() || value[0] == '-') throw ScenarioError("");
-      reps = std::stoull(value, &used);
-    } catch (...) {
-      used = 0;
-    }
-    if (used != value.size() || reps == 0)
+    const std::optional<std::uint64_t> reps = parse_strict_u64(value);
+    if (!reps || *reps == 0)
       throw ScenarioError("grid axis 'reps=" + value +
                           "': expected a positive integer");
     axes.erase(it);
-    return reps;
+    return static_cast<std::size_t>(*reps);
   }
   return 1;
 }
@@ -119,17 +111,10 @@ std::pair<std::size_t, std::size_t> parse_shard(std::string_view text) {
       slash + 1 >= text.size())
     throw malformed();
   const auto parse_part = [&](std::string_view part) {
-    std::size_t used = 0;
-    std::size_t out = 0;
-    try {
-      const std::string s(part);
-      if (s.empty() || s[0] == '-') throw ScenarioError("");
-      out = std::stoull(s, &used);
-    } catch (...) {
-      used = 0;
-    }
-    if (used != part.size()) throw malformed();
-    return out;
+    const std::optional<std::uint64_t> value =
+        parse_strict_u64(std::string(part));
+    if (!value) throw malformed();
+    return static_cast<std::size_t>(*value);
   };
   const std::size_t index = parse_part(text.substr(0, slash));
   const std::size_t count = parse_part(text.substr(slash + 1));
@@ -292,15 +277,7 @@ std::vector<SuiteRun> SuiteRunner::run_grid(const ScenarioSpec& base,
   return SuiteRunner(std::move(options)).run(expand_grid(base, axes));
 }
 
-// ---- CSV --------------------------------------------------------------------
-
-// Both functions are thin shims over the typed schema layer
-// (src/sim/record.hpp): the default column selection and the one shared
-// formatting path. The cell bytes are pinned by the determinism goldens.
-
-std::vector<std::string> suite_csv_columns(bool include_wall, bool include_rep) {
-  return default_columns(include_wall, include_rep);
-}
+// ---- rows -------------------------------------------------------------------
 
 std::vector<std::string> suite_row_cells(const SuiteRun& run, bool include_wall,
                                          bool include_rep) {
@@ -310,12 +287,6 @@ std::vector<std::string> suite_row_cells(const SuiteRun& run, bool include_wall,
   for (const std::string& key : default_columns(include_wall, include_rep))
     cells.push_back(record.cell_text(schema.index_of(key)));
   return cells;
-}
-
-void suite_csv_row(CsvWriter& writer, const SuiteRun& run, bool include_wall,
-                   bool include_rep) {
-  // CsvWriter asserts the width against its header.
-  writer.row(suite_row_cells(run, include_wall, include_rep));
 }
 
 }  // namespace colscore

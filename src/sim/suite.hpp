@@ -17,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/csv.hpp"
 #include "src/sim/registry.hpp"
 
 namespace colscore {
@@ -175,26 +174,14 @@ class SuiteRunner {
   SuiteOptions options_;
 };
 
-// ---- CSV --------------------------------------------------------------------
+// ---- rows -------------------------------------------------------------------
 
-/// The default (historical) column selection — a shim over
-/// default_columns() in src/sim/record.hpp, kept for the CSV-shaped callers.
-/// Wall time is excluded by default so suite outputs are bit-for-bit
-/// reproducible; the `rep` column (after `seed`) is opt-in so single-run
-/// CSVs keep their historical shape.
-std::vector<std::string> suite_csv_columns(bool include_wall = false,
-                                           bool include_rep = false);
-
-/// The default-column cells for `run`, rendered through the typed schema
-/// layer (make_run_record + RunRecord::cell_text — the one formatting path
-/// every text sink shares). Byte-identical to the historical stringly
-/// output; the determinism goldens pin it.
+/// The default-column cells (default_columns() in src/sim/record.hpp) for
+/// `run`, rendered through the typed schema layer — make_run_record +
+/// RunRecord::cell_text, the one formatting path every text sink shares.
+/// The determinism goldens pin the bytes.
 std::vector<std::string> suite_row_cells(const SuiteRun& run,
                                          bool include_wall = false,
                                          bool include_rep = false);
-
-/// Appends one row for `run` (column order matches suite_csv_columns).
-void suite_csv_row(CsvWriter& writer, const SuiteRun& run,
-                   bool include_wall = false, bool include_rep = false);
 
 }  // namespace colscore

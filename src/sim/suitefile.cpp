@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "src/common/json.hpp"
+#include "src/common/strict_parse.hpp"
 #include "src/sim/fault.hpp"
 #include "src/sim/resume.hpp"
 
@@ -46,17 +47,11 @@ bool require_bool(const std::string& origin, const char* key,
 std::uint64_t require_integer(const std::string& origin, const char* key,
                               const JsonValue& v) {
   if (!v.is_number()) wrong_type(origin, key, "an integer", v);
-  std::size_t used = 0;
-  std::uint64_t out = 0;
-  try {
-    if (!v.text.empty() && v.text[0] != '-') out = std::stoull(v.text, &used);
-  } catch (...) {
-    used = 0;
-  }
-  if (used != v.text.size())
+  const std::optional<std::uint64_t> out = parse_strict_u64(v.text);
+  if (!out)
     fail(origin, std::string("\"") + key + "\" must be a non-negative "
                      "integer (got " + v.text + ")");
-  return out;
+  return *out;
 }
 
 /// A non-negative number ("0.25", "3"); doubles are fine here (durations),
@@ -121,18 +116,6 @@ std::vector<ScenarioSpec> SuiteFile::expand() const {
   return specs;
 }
 
-SuiteOptions SuiteFile::options() const {
-  SuiteOptions out;
-  out.threads = threads;
-  out.reps = reps;
-  out.derive_seeds = derive_seeds;
-  if (seed_salt.has_value()) out.seed_salt = *seed_salt;
-  out.retries = retries;
-  out.timeout_s = timeout_s;
-  out.backoff_s = backoff_s;
-  return out;
-}
-
 SuiteFile parse_suite_file(std::string_view json_text, std::string origin) {
   SuiteFile file;
   file.origin = std::move(origin);
@@ -178,12 +161,12 @@ SuiteFile parse_suite_file(std::string_view json_text, std::string origin) {
                    value);
       }
     } else if (key == "reps") {
-      file.reps = static_cast<std::size_t>(
+      file.options.reps = static_cast<std::size_t>(
           require_integer(file.origin, "reps", value));
-      if (file.reps == 0)
+      if (file.options.reps == 0)
         fail(file.origin, "\"reps\" must be a positive integer (got 0)");
     } else if (key == "threads") {
-      file.threads = static_cast<std::size_t>(
+      file.options.threads = static_cast<std::size_t>(
           require_integer(file.origin, "threads", value));
     } else if (key == "sink") {
       file.sink = require_string(file.origin, "sink", value);
@@ -192,9 +175,11 @@ SuiteFile parse_suite_file(std::string_view json_text, std::string origin) {
     } else if (key == "wall") {
       file.include_wall = require_bool(file.origin, "wall", value);
     } else if (key == "derive_seeds") {
-      file.derive_seeds = require_bool(file.origin, "derive_seeds", value);
+      file.options.derive_seeds =
+          require_bool(file.origin, "derive_seeds", value);
     } else if (key == "seed_salt") {
-      file.seed_salt = require_integer(file.origin, "seed_salt", value);
+      file.options.seed_salt =
+          require_integer(file.origin, "seed_salt", value);
     } else if (key == "columns") {
       if (value.is_string()) {
         try {
@@ -225,12 +210,14 @@ SuiteFile parse_suite_file(std::string_view json_text, std::string origin) {
         fail(file.origin, e.what());
       }
     } else if (key == "retries") {
-      file.retries = static_cast<std::size_t>(
+      file.options.retries = static_cast<std::size_t>(
           require_integer(file.origin, "retries", value));
     } else if (key == "timeout_s") {
-      file.timeout_s = require_number(file.origin, "timeout_s", value);
+      file.options.timeout_s =
+          require_number(file.origin, "timeout_s", value);
     } else if (key == "backoff_s") {
-      file.backoff_s = require_number(file.origin, "backoff_s", value);
+      file.options.backoff_s =
+          require_number(file.origin, "backoff_s", value);
     } else if (key == "faults") {
       file.faults = require_string(file.origin, "faults", value);
       try {
@@ -266,56 +253,45 @@ SuiteFile load_suite_file(const std::string& path) {
 
 std::vector<SuiteRun> run_suite_file(const SuiteFile& file,
                                      const SuiteFileOverrides& overrides) {
-  SuiteOptions options = file.options();
-  if (overrides.threads.has_value()) options.threads = *overrides.threads;
-  if (overrides.retries.has_value()) options.retries = *overrides.retries;
-  if (overrides.timeout_s.has_value()) options.timeout_s = *overrides.timeout_s;
-  if (overrides.backoff_s.has_value()) options.backoff_s = *overrides.backoff_s;
-  if (overrides.shard.has_value()) {
-    options.shard_index = overrides.shard->first;
-    options.shard_count = overrides.shard->second;
-  }
-  const FaultPlan faults = FaultPlan::parse(
-      overrides.faults.has_value() ? *overrides.faults : file.faults);
-  if (!faults.empty()) options.faults = &faults;
+  SuiteOptions options = file.options;
+  const FaultPlan faults = FaultPlan::parse(file.faults);
+  options.faults = faults.empty() ? nullptr : &faults;
 
-  SinkConfig config;
-  config.path = overrides.output.has_value() ? *overrides.output : file.output;
-  config.stream = overrides.stream;
-  const std::string sink_name =
-      overrides.sink.has_value() ? *overrides.sink : file.sink;
+  // Plan before the sink exists: resolution errors surface before any
+  // output is touched, and resume must read the prior artifact before a
+  // fresh-mode sink truncates PATH.tmp (resuming onto the same path is the
+  // common case).
+  const std::vector<ScenarioSpec> specs = file.expand();
+  std::vector<SuiteRun> runs = SuiteRunner(options).plan(specs);
 
   // The suite's schema (built-ins + every cell's entry metrics, resolved
   // once per distinct entry triple) and the selected columns; selection and
   // per-cell summary run in RecordStream, in front of whichever sink was
   // chosen.
-  const std::vector<ScenarioSpec> specs = file.expand();
   const MetricSchema schema = suite_metric_schema(specs);
   const bool include_rep = options.reps > 1;
   std::vector<std::string> columns =
       file.columns.empty() ? default_columns(file.include_wall, include_rep)
                            : file.columns;
-  // "wall": true is an explicit request; honor it alongside an explicit
-  // "columns" selection (same rule as the CLI's --wall + --columns).
+  // A wall request is explicit; honor it alongside an explicit column
+  // selection rather than silently dropping it.
   if (file.include_wall && !file.columns.empty() &&
       std::find(columns.begin(), columns.end(), "wall_s") == columns.end())
     columns.push_back("wall_s");
 
-  // Plan before the sink exists: resume must read the prior artifact before
-  // a fresh-mode sink truncates PATH.tmp (resuming onto the same path is
-  // the common case).
-  std::vector<SuiteRun> runs = SuiteRunner(options).plan(specs);
   std::optional<ResumeContext> resume;
   if (overrides.resume.has_value())
-    resume = prepare_resume(sink_name, *overrides.resume, runs, schema,
+    resume = prepare_resume(file.sink, *overrides.resume, runs, schema,
                             columns, file.summary);
 
-  std::unique_ptr<ResultSink> sink = make_sink(sink_name, config);
+  SinkConfig config;
+  config.path = file.output;
+  config.stream = overrides.stream;
+  std::unique_ptr<ResultSink> sink = make_sink(file.sink, config);
   if (faults.has_sink_faults())
     sink = std::make_unique<FaultInjectingSink>(faults, std::move(sink));
 
-  RecordStream stream(*sink, schema, columns,
-                      {file.summary, options.reps});
+  RecordStream stream(*sink, schema, columns, {file.summary, options.reps});
   options.on_result = [&](const SuiteRun& run) {
     // A kSkipped run inside the shard is a resume substitution: replay the
     // prior artifact's row byte-for-byte instead of fabricating one.

@@ -40,6 +40,13 @@
 // All validation errors are ScenarioErrors prefixed "suite file 'PATH':"
 // and name the offending key, so a typo in a checked-in suite fails the CI
 // smoke with an actionable message.
+//
+// A SuiteFile is also the one front end of every sink-backed sweep:
+// colscore_cli loads one for --suite, or builds one from its flags for a
+// --grid or a single scenario with a sink, and hands it to run_suite_file.
+// Every runner setting has exactly one field here (most live in `options`),
+// so a CLI flag that overrides a file's choice writes that field before the
+// run; only per-invocation inputs travel in SuiteFileOverrides.
 #pragma once
 
 #include <cstdint>
@@ -61,10 +68,11 @@ struct SuiteFile {
   ScenarioSpec base;
   /// Parsed grids, in file order. Empty = one run of `base` per rep.
   std::vector<std::vector<GridAxis>> grids;
-  std::size_t reps = 1;
-  std::size_t threads = 0;
-  bool derive_seeds = true;
-  std::optional<std::uint64_t> seed_salt;
+  /// Runner settings: "reps", "threads", "derive_seeds", "seed_salt",
+  /// "retries", "timeout_s", "backoff_s" (a caller may also set the shard).
+  /// run_suite_file replaces options.faults and options.on_result with the
+  /// plan parsed from `faults` and its sink stream.
+  SuiteOptions options;
   bool include_wall = false;
   /// Explicit column selection (schema keys, in order). Empty = the default
   /// column set (plus rep/wall as configured).
@@ -73,19 +81,11 @@ struct SuiteFile {
   SummaryStat summary = SummaryStat::kNone;
   std::string sink = "csv";
   std::string output;  // empty = stdout (file-only sinks reject at run time)
-  /// Run isolation (SuiteOptions mirrors; see suite.hpp).
-  std::size_t retries = 0;
-  double timeout_s = 0.0;
-  double backoff_s = 0.05;
   /// FaultPlan spec string ("" = no injected faults).
   std::string faults;
 
   /// Concatenated grid expansions over `base` (file order).
   std::vector<ScenarioSpec> expand() const;
-
-  /// SuiteOptions for this file (threads/reps/derive_seeds/seed_salt;
-  /// on_result left empty).
-  SuiteOptions options() const;
 };
 
 /// Parses a suite-file document. `origin` labels error messages (use the
@@ -96,22 +96,12 @@ SuiteFile parse_suite_file(std::string_view json_text, std::string origin);
 /// Reads and parses `path`.
 SuiteFile load_suite_file(const std::string& path);
 
-/// Caller adjustments applied on top of the file (CLI flags win over the
-/// checked-in defaults). `stream` forces the sink destination (tests,
-/// stdout capture) and beats both output paths.
+/// Per-invocation inputs no file key can express. Callers that override a
+/// file's choices (the CLI's --sink/--out/--threads/...) write the
+/// SuiteFile field itself.
 struct SuiteFileOverrides {
-  std::optional<std::string> sink;
-  std::optional<std::string> output;
-  std::optional<std::size_t> threads;
+  /// Forces the sink destination (tests, stdout capture); beats `output`.
   std::ostream* stream = nullptr;
-  std::optional<std::size_t> retries;
-  std::optional<double> timeout_s;
-  std::optional<double> backoff_s;
-  /// FaultPlan spec string; overrides the file's "faults".
-  std::optional<std::string> faults;
-  /// (shard index, shard count) — run only that contiguous slice of the
-  /// flat run-index space (per-run seeds are unchanged).
-  std::optional<std::pair<std::size_t, std::size_t>> shard;
   /// Path of a prior artifact (PATH or PATH.tmp is read): completed runs
   /// are not re-executed, their rows are replayed from the artifact, and
   /// the merged output is written to the configured destination.

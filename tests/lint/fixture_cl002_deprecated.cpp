@@ -1,6 +1,6 @@
 // lint-fixture-as: src/protocols/fixture_probe.cpp
-// CL002: removed probe-pipeline names must not reappear, under any spelling
-// (declaration, call, or qualified mention).
+// CL002: removed names must not reappear, under any spelling (declaration,
+// call, or qualified mention).
 #include "src/board/probe_oracle.hpp"
 
 namespace colscore {
@@ -20,6 +20,12 @@ void fixture_unpacked_gather(ProbeOracle& oracle, std::span<const ObjectId> slat
                              BitRow out) {
   oracle.gather_unpacked(0, slate, out);  // VIOLATION
   oracle.probe_gather(0, slate, out);     // the sanctioned form: fine
+}
+
+void fixture_csv_shims(CsvWriter& writer, const SuiteRun& run) {
+  const auto columns = suite_csv_columns();  // VIOLATION
+  colscore::suite_csv_row(writer, run);      // VIOLATION
+  writer.row(suite_row_cells(run));          // the sanctioned form: fine
 }
 
 }  // namespace colscore

@@ -1,0 +1,138 @@
+// colscore_cli front-end coverage through a real subprocess. Every
+// sink-backed run (a --suite file, or a sweep spelled with --grid) goes
+// through run_suite_file, so: a suite file and the same sweep spelled as a
+// --grid give identical bytes on every text sink; --shard outputs
+// concatenate to the unsharded rows; --resume merges a fault-injected grid
+// artifact back to the clean bytes; and a malformed numeric flag prints the
+// usage text instead of reaching the runner.
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
+
+#if defined(COLSCORE_CLI_PATH) && defined(COLSCORE_SOURCE_DIR) && \
+    defined(__unix__)
+#include <sys/wait.h>
+
+namespace colscore {
+namespace {
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.is_open()) << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+std::string temp_path(const std::string& name) {
+  const std::string path = testing::TempDir() + name;
+  std::remove(path.c_str());
+  std::remove((path + ".tmp").c_str());
+  return path;
+}
+
+std::size_t line_count(const std::string& text) {
+  std::size_t lines = 0;
+  for (char c : text) lines += c == '\n' ? 1 : 0;
+  return lines;
+}
+
+struct CliResult {
+  int exit_code = -1;
+  std::string out;
+  std::string err;
+};
+
+/// Runs the CLI with `args` (shell syntax), capturing stdout and stderr.
+CliResult cli(const std::string& args) {
+  const std::string out = temp_path("cli_stdout.txt");
+  const std::string err = temp_path("cli_stderr.txt");
+  const int status = std::system((std::string(COLSCORE_CLI_PATH) + " " +
+                                  args + " >" + out + " 2>" + err)
+                                     .c_str());
+  CliResult result;
+  if (WIFEXITED(status)) result.exit_code = WEXITSTATUS(status);
+  result.out = read_file(out);
+  result.err = read_file(err);
+  std::remove(out.c_str());
+  std::remove(err.c_str());
+  return result;
+}
+
+const std::string kSmokeSuite =
+    std::string(COLSCORE_SOURCE_DIR) + "/examples/suites/smoke.json";
+
+// examples/suites/smoke.json spelled with flags: 2 n x 2 adversaries x 2
+// reps = 8 runs.
+const std::string kSmokeGrid =
+    " --workload planted --budget 4 --diameter 8 --dishonest 4 --no-opt"
+    " --grid 'n=48,64 x adversary=none,sleeper x reps=2'";
+
+TEST(CliFrontEnd, SuiteFileMatchesTheEquivalentGrid) {
+  for (const std::string sink : {"csv", "jsonl"}) {
+    const std::string from_suite = temp_path("cli_suite." + sink);
+    const std::string from_grid = temp_path("cli_grid." + sink);
+    const CliResult suite = cli("--suite " + kSmokeSuite + " --sink " + sink +
+                                " --out " + from_suite);
+    ASSERT_EQ(suite.exit_code, 0) << suite.err;
+    const CliResult grid =
+        cli("--sink " + sink + " --out " + from_grid + kSmokeGrid);
+    ASSERT_EQ(grid.exit_code, 0) << grid.err;
+
+    const std::string rows = read_file(from_suite);
+    EXPECT_EQ(line_count(rows), sink == "csv" ? 9u : 8u) << rows;  // + header
+    EXPECT_EQ(rows, read_file(from_grid)) << sink;
+    std::remove(from_suite.c_str());
+    std::remove(from_grid.c_str());
+  }
+}
+
+TEST(CliFrontEnd, ShardsConcatenateToTheUnshardedRows) {
+  const CliResult whole = cli("--sink jsonl" + kSmokeGrid);
+  const CliResult first = cli("--sink jsonl --shard 0/2" + kSmokeGrid);
+  const CliResult second = cli("--sink jsonl --shard 1/2" + kSmokeGrid);
+  ASSERT_EQ(whole.exit_code, 0) << whole.err;
+  ASSERT_EQ(first.exit_code, 0) << first.err;
+  ASSERT_EQ(second.exit_code, 0) << second.err;
+  EXPECT_EQ(line_count(whole.out), 8u);
+  EXPECT_EQ(line_count(first.out), 4u);
+  EXPECT_EQ(first.out + second.out, whole.out);
+}
+
+TEST(CliFrontEnd, ResumeMergesAFaultInjectedGridArtifact) {
+  const std::string clean = temp_path("cli_resume_clean.jsonl");
+  const std::string faulty = temp_path("cli_resume_faulty.jsonl");
+  ASSERT_EQ(cli("--sink jsonl --out " + clean + kSmokeGrid).exit_code, 0);
+
+  // Two runs fail for good: the sweep finishes with failure rows, exit 1.
+  const CliResult first = cli("--sink jsonl --out " + faulty +
+                              " --faults 'throw@2,throw@5'" + kSmokeGrid);
+  EXPECT_EQ(first.exit_code, 1) << first.err;
+  EXPECT_NE(first.err.find("2 of 8 runs failed"), std::string::npos)
+      << first.err;
+  EXPECT_NE(read_file(faulty), read_file(clean));
+
+  const CliResult resumed = cli("--sink jsonl --out " + faulty +
+                                " --resume " + faulty + kSmokeGrid);
+  EXPECT_EQ(resumed.exit_code, 0) << resumed.err;
+  EXPECT_EQ(read_file(faulty), read_file(clean));
+  std::remove(clean.c_str());
+  std::remove(faulty.c_str());
+}
+
+TEST(CliFrontEnd, NegativeThreadCountPrintsUsage) {
+  // std::stoull wraps "-1" to 2^64-1; the strict parser rejects it before
+  // it can size a thread pool.
+  const CliResult result = cli("--threads -1 --n 32 --budget 4 --no-opt");
+  EXPECT_EQ(result.exit_code, 2);
+  EXPECT_NE(result.out.find("usage:"), std::string::npos) << result.out;
+  EXPECT_EQ(result.err.find("aborted"), std::string::npos) << result.err;
+}
+
+}  // namespace
+}  // namespace colscore
+#endif

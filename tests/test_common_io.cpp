@@ -1,13 +1,17 @@
 // Tests for the small common utilities: CSV emission, logging levels, math
-// helpers, and the protocol environment glue.
+// helpers, strict number parsing, and the protocol environment glue.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <optional>
 #include <set>
 #include <sstream>
 
 #include "src/common/csv.hpp"
 #include "src/common/log.hpp"
 #include "src/common/mathutil.hpp"
+#include "src/common/strict_parse.hpp"
 #include "tests/test_util.hpp"
 
 namespace colscore {
@@ -33,6 +37,33 @@ TEST(Csv, RowWidthEnforced) {
   std::ostringstream os;
   CsvWriter w(os, {"only"});
   EXPECT_DEATH(w.row({"a", "b"}), "width");
+}
+
+TEST(StrictParse, UnsignedRejectsAnythingButOneWholeInteger) {
+  EXPECT_EQ(parse_strict_u64("152489"), 152489u);
+  EXPECT_EQ(parse_strict_u64("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(parse_strict_u64(""), std::nullopt);
+  EXPECT_EQ(parse_strict_u64("-1"), std::nullopt);  // stoull would wrap it
+  EXPECT_EQ(parse_strict_u64("3.5"), std::nullopt);
+  EXPECT_EQ(parse_strict_u64("1e3"), std::nullopt);
+  EXPECT_EQ(parse_strict_u64("18446744073709551616"), std::nullopt);  // 2^64
+  EXPECT_EQ(parse_strict_u64("nan"), std::nullopt);
+  EXPECT_EQ(parse_strict_u64("7 "), std::nullopt);
+}
+
+TEST(StrictParse, DoubleTakesOneWholeNumberIncludingNonFinite) {
+  EXPECT_EQ(parse_strict_f64("0.25"), 0.25);
+  EXPECT_EQ(parse_strict_f64("-1"), -1.0);
+  EXPECT_EQ(parse_strict_f64("3.5"), 3.5);
+  EXPECT_EQ(parse_strict_f64("1e3"), 1000.0);
+  EXPECT_EQ(parse_strict_f64("18446744073709551616"), 18446744073709551616.0);
+  EXPECT_EQ(parse_strict_f64(""), std::nullopt);
+  EXPECT_EQ(parse_strict_f64("0.5s"), std::nullopt);
+  EXPECT_EQ(parse_strict_f64("1e999"), std::nullopt);  // out of range
+  const std::optional<double> nan = parse_strict_f64("nan");
+  ASSERT_TRUE(nan.has_value());
+  EXPECT_TRUE(std::isnan(*nan));
+  EXPECT_EQ(parse_strict_f64("-inf"), -HUGE_VAL);
 }
 
 TEST(Log, LevelGate) {

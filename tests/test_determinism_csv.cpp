@@ -10,6 +10,7 @@
 
 #include <sstream>
 
+#include "src/common/csv.hpp"
 #include "src/sim/suite.hpp"
 #include "test_util.hpp"
 
@@ -21,9 +22,9 @@ std::string run_to_csv(const std::string& scenario_text) {
   options.threads = 1;
   options.derive_seeds = false;  // single runs keep their literal seed
   std::ostringstream out;
-  CsvWriter writer(out, suite_csv_columns(/*include_wall=*/false));
+  CsvWriter writer(out, default_columns(/*include_wall=*/false));
   options.on_result = [&](const SuiteRun& run) {
-    suite_csv_row(writer, run, /*include_wall=*/false);
+    writer.row(suite_row_cells(run, /*include_wall=*/false));
   };
   SuiteRunner runner(options);
   runner.run({ScenarioSpec::parse(scenario_text)});

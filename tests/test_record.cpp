@@ -65,8 +65,8 @@ TEST(RunRecordTest, DefaultColumnCellsMatchTheDeterminismGolden) {
   const RunRecord record = make_run_record(run, schema);
 
   const std::vector<std::string> columns = default_columns();
-  EXPECT_EQ(columns, suite_csv_columns());
   const std::vector<std::string> golden = split_csv_line(kGoldenRow);
+  EXPECT_EQ(suite_row_cells(run), golden);
   ASSERT_EQ(columns.size(), golden.size());
   for (std::size_t i = 0; i < columns.size(); ++i)
     EXPECT_EQ(record.cell_text(schema.index_of(columns[i])), golden[i])

@@ -4,8 +4,6 @@
 
 #include <cmath>
 
-#include "src/common/histogram.hpp"
-
 namespace colscore {
 namespace {
 
@@ -101,38 +99,6 @@ TEST(BinomialTail, Monotone) {
   EXPECT_GT(binomial_tail_bound(10, 0.1), binomial_tail_bound(100, 0.1));
   EXPECT_GT(binomial_tail_bound(100, 0.1), binomial_tail_bound(100, 0.3));
   EXPECT_LE(binomial_tail_bound(1000, 0.2), 1e-30);
-}
-
-TEST(Histogram, BucketsAndCdf) {
-  Histogram h(0, 10, 10);
-  for (int i = 0; i < 10; ++i) h.add(i + 0.5);
-  EXPECT_EQ(h.total(), 10u);
-  for (std::size_t b = 0; b < 10; ++b) EXPECT_EQ(h.count(b), 1u);
-  EXPECT_DOUBLE_EQ(h.cdf(5.0), 0.5);
-  EXPECT_DOUBLE_EQ(h.cdf(10.0), 1.0);
-  EXPECT_DOUBLE_EQ(h.cdf(0.0), 0.0);
-}
-
-TEST(Histogram, ClampsOutOfRange) {
-  Histogram h(0, 10, 5);
-  h.add(-100);
-  h.add(100);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(4), 1u);
-}
-
-TEST(Histogram, BucketEdges) {
-  Histogram h(10, 20, 5);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(0), 10.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(0), 12.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(4), 20.0);
-}
-
-TEST(Histogram, ToStringShowsNonEmpty) {
-  Histogram h(0, 10, 10);
-  h.add(1.5);
-  const std::string s = h.to_string();
-  EXPECT_NE(s.find('#'), std::string::npos);
 }
 
 }  // namespace

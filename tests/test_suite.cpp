@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "src/common/csv.hpp"
 #include "src/common/exec_policy.hpp"
 #include "src/common/thread_pool.hpp"
 
@@ -71,10 +72,12 @@ ScenarioSpec small_base() {
 std::string grid_csv(const ScenarioSpec& base, const std::string& grid,
                      std::size_t threads) {
   std::ostringstream out;
-  CsvWriter writer(out, suite_csv_columns());
+  CsvWriter writer(out, default_columns());
   SuiteOptions options;
   options.threads = threads;
-  options.on_result = [&](const SuiteRun& run) { suite_csv_row(writer, run); };
+  options.on_result = [&](const SuiteRun& run) {
+    writer.row(suite_row_cells(run));
+  };
   SuiteRunner runner(options);
   runner.run_grid(base, grid);
   return out.str();
@@ -100,11 +103,13 @@ TEST(SuiteRunner, ExplicitPolicyMatchesThreadsDispatch) {
   ThreadPool pool(3);
   const ExecPolicy policy = ExecPolicy::pool(pool);
   std::ostringstream out;
-  CsvWriter writer(out, suite_csv_columns());
+  CsvWriter writer(out, default_columns());
   SuiteOptions options;
   options.policy = &policy;
   options.threads = 7;  // must be ignored in favour of the explicit policy
-  options.on_result = [&](const SuiteRun& run) { suite_csv_row(writer, run); };
+  options.on_result = [&](const SuiteRun& run) {
+    writer.row(suite_row_cells(run));
+  };
   SuiteRunner runner(options);
   runner.run_grid(small_base(), grid);
   EXPECT_EQ(serial, out.str());
@@ -196,11 +201,11 @@ TEST(SuiteRunner, RepsReplicateEveryCellWithDistinctSeeds) {
 TEST(SuiteRunner, RepsCsvColumnAndParallelDeterminism) {
   auto reps_csv = [&](std::size_t threads) {
     std::ostringstream out;
-    CsvWriter writer(out, suite_csv_columns(false, /*include_rep=*/true));
+    CsvWriter writer(out, default_columns(false, /*include_rep=*/true));
     SuiteOptions options;
     options.threads = threads;
     options.on_result = [&](const SuiteRun& run) {
-      suite_csv_row(writer, run, false, /*include_rep=*/true);
+      writer.row(suite_row_cells(run, false, /*include_rep=*/true));
     };
     return std::make_pair(
         SuiteRunner(options).run_grid(small_base(), "adversary=none x reps=4"),
@@ -239,9 +244,11 @@ TEST(SuiteRunner, RegisteredEntriesAreGridSweepable) {
                               return two_blocks(sc.n, sc.n, rng);
                             }});
   std::ostringstream out;
-  CsvWriter writer(out, suite_csv_columns());
+  CsvWriter writer(out, default_columns());
   SuiteOptions options;
-  options.on_result = [&](const SuiteRun& run) { suite_csv_row(writer, run); };
+  options.on_result = [&](const SuiteRun& run) {
+    writer.row(suite_row_cells(run));
+  };
   SuiteRunner runner(options);
   const auto runs =
       runner.run_grid(small_base(), "workload=two_blocks,suite_twin_blocks");

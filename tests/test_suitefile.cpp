@@ -9,6 +9,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/common/csv.hpp"
+
 namespace colscore {
 namespace {
 
@@ -33,12 +35,12 @@ TEST(SuiteFile, ParsesTheDocumentedFormat) {
   EXPECT_EQ(file.base.overrides.at("opt"), "0");  // bool -> "0"
   ASSERT_EQ(file.grids.size(), 1u);
   EXPECT_EQ(file.grids[0].size(), 2u);
-  EXPECT_EQ(file.reps, 2u);
-  EXPECT_EQ(file.threads, 1u);
+  EXPECT_EQ(file.options.reps, 2u);
+  EXPECT_EQ(file.options.threads, 1u);
   EXPECT_EQ(file.sink, "jsonl");
   EXPECT_EQ(file.output, "smoke.jsonl");
   EXPECT_FALSE(file.include_wall);
-  EXPECT_TRUE(file.derive_seeds);
+  EXPECT_TRUE(file.options.derive_seeds);
   EXPECT_EQ(file.expand().size(), 4u);  // 2 n x 2 adversaries (reps at run time)
 }
 
@@ -159,12 +161,12 @@ TEST(SuiteFile, RunsMatchTheEquivalentGridInvocation) {
   base.set("budget", "4").set("diameter", "8").set("dishonest", "4")
       .set("opt", "0");
   std::ostringstream from_grid;
-  CsvWriter writer(from_grid, suite_csv_columns(false, /*include_rep=*/true));
+  CsvWriter writer(from_grid, default_columns(false, /*include_rep=*/true));
   SuiteOptions options;
   options.threads = 1;
   options.reps = 2;
   options.on_result = [&](const SuiteRun& run) {
-    suite_csv_row(writer, run, false, /*include_rep=*/true);
+    writer.row(suite_row_cells(run, false, /*include_rep=*/true));
   };
   SuiteRunner(options).run(
       expand_grid(base, parse_grid("n=48 x adversary=none,sleeper")));
@@ -174,14 +176,14 @@ TEST(SuiteFile, RunsMatchTheEquivalentGridInvocation) {
 }
 
 TEST(SuiteFile, CliOverridesBeatTheFilesChoices) {
-  const SuiteFile file = parse_suite_file(
+  SuiteFile file = parse_suite_file(
       R"({"base": {"n": 48, "budget": 4, "opt": false}, "sink": "csv",
           "threads": 1})",
       "override.json");
+  file.sink = "jsonl";  // what --sink jsonl writes
   std::ostringstream out;
   SuiteFileOverrides overrides;
   overrides.stream = &out;
-  overrides.sink = "jsonl";
   (void)run_suite_file(file, overrides);
   // JSONL, not CSV: first byte is '{' and there is no header line.
   ASSERT_FALSE(out.str().empty());
@@ -212,7 +214,7 @@ TEST(SuiteFile, CheckedInSmokeSuiteStaysValid) {
   std::ostringstream text;
   text << in.rdbuf();
   const SuiteFile file = parse_suite_file(text.str(), "smoke.json");
-  EXPECT_EQ(file.expand().size() * file.reps, 8u);
+  EXPECT_EQ(file.expand().size() * file.options.reps, 8u);
   EXPECT_EQ(file.sink, "jsonl");
 }
 

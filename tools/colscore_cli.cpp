@@ -17,21 +17,22 @@
 // csv|jsonl|sqlite, --list-sinks; --csv is shorthand for --sink csv --wall),
 // streamed in grid order as runs complete; otherwise a human-readable
 // report. --suite runs a checked-in JSON suite file (base spec + grids +
-// reps + sink), with --sink/--out/--threads overriding the file's choices.
+// reps + sink); the sink and runner flags override the file's choices. Every
+// sink-backed run, a --suite file or a sweep spelled by flags, is a
+// SuiteFile handed to run_suite_file (src/sim/suitefile.hpp).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <iostream>
+#include <functional>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/common/csv.hpp"
+#include "src/common/strict_parse.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/sim/fault.hpp"
 #include "src/sim/registry.hpp"
-#include "src/sim/resume.hpp"
 #include "src/sim/sink.hpp"
 #include "src/sim/suite.hpp"
 #include "src/sim/suitefile.hpp"
@@ -148,18 +149,11 @@ int sweep_exit_code(const std::vector<SuiteRun>& runs) {
 
 int run(int argc, char** argv) {
   ScenarioSpec spec;
-  SuiteOptions options;
   std::string grid;
   std::string suite_path;
   std::optional<std::string> sink_name;
   std::optional<std::string> out_path;
-  std::optional<std::size_t> threads_flag;
   std::optional<std::string> columns_flag;
-  std::optional<std::size_t> retries_flag;
-  std::optional<double> timeout_flag;
-  std::optional<double> backoff_flag;
-  std::optional<std::string> faults_flag;
-  std::optional<std::pair<std::size_t, std::size_t>> shard_flag;
   std::optional<std::string> resume_flag;
   SummaryStat summary = SummaryStat::kNone;
   bool csv = false;
@@ -168,6 +162,18 @@ int run(int argc, char** argv) {
   bool grid_requested = false;
   bool spec_touched = false;
   bool list_columns = false;
+
+  // Runner flags (threads, retry policy, faults, shard) override the suite
+  // the other flags select, a --suite file's own settings included. That
+  // file loads only after every flag has been read, so each runner flag
+  // queues its write to the one SuiteFile field it sets.
+  std::vector<std::function<void(SuiteFile&)>> runner_flags;
+  // COLSCORE_FAULTS lets the chaos/crash tests inject faults into an
+  // unmodified command line; an explicit --faults, queued later, wins.
+  if (const char* env = std::getenv("COLSCORE_FAULTS");
+      env != nullptr && *env != '\0')
+    runner_flags.push_back(
+        [text = std::string(env)](SuiteFile& f) { f.faults = text; });
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -180,29 +186,14 @@ int run(int argc, char** argv) {
       spec.set(key, next());
     };
     auto next_size = [&]() -> std::size_t {
-      const std::string value = next();
-      std::size_t used = 0;
-      std::size_t out = 0;
-      try {
-        if (value.empty() || value[0] == '-') throw ScenarioError("");
-        out = std::stoull(value, &used);
-      } catch (...) {
-        used = 0;
-      }
-      if (used != value.size()) usage(argv[0]);
-      return out;
+      const std::optional<std::uint64_t> value = parse_strict_u64(next());
+      if (!value) usage(argv[0]);
+      return static_cast<std::size_t>(*value);
     };
     auto next_seconds = [&]() -> double {
-      const std::string value = next();
-      std::size_t used = 0;
-      double out = 0.0;
-      try {
-        out = std::stod(value, &used);
-      } catch (...) {
-        used = 0;
-      }
-      if (value.empty() || used != value.size() || out < 0) usage(argv[0]);
-      return out;
+      const std::optional<double> value = parse_strict_f64(next());
+      if (!value || *value < 0) usage(argv[0]);
+      return *value;
     };
 
     if (arg == "--workload") { spec_touched = true; spec.workload = next(); }
@@ -239,34 +230,32 @@ int run(int argc, char** argv) {
     else if (arg == "--grid") { grid = next(); grid_requested = true; }
     else if (arg == "--suite") suite_path = next();
     else if (arg == "--threads") {
-      const std::string value = next();
-      std::size_t used = 0;
-      std::size_t threads = 0;
-      try {
-        threads = std::stoull(value, &used);
-      } catch (...) {
-        used = 0;
-      }
-      if (used != value.size()) usage(argv[0]);
-      options.threads = threads;
-      threads_flag = threads;
-    }
-    else if (arg == "--retries") {
-      options.retries = next_size();
-      retries_flag = options.retries;
+      const std::size_t threads = next_size();
+      // --threads also sizes the process-default policy, so default-argument
+      // code paths (ExecPolicy::process_default) agree with the suite
+      // policy. This is the one sanctioned reset_global call site (CL012).
+      ThreadPool::reset_global(threads);
+      runner_flags.push_back(
+          [threads](SuiteFile& f) { f.options.threads = threads; });
+    } else if (arg == "--retries") {
+      runner_flags.push_back(
+          [n = next_size()](SuiteFile& f) { f.options.retries = n; });
     } else if (arg == "--timeout-s") {
-      options.timeout_s = next_seconds();
-      timeout_flag = options.timeout_s;
+      runner_flags.push_back(
+          [s = next_seconds()](SuiteFile& f) { f.options.timeout_s = s; });
     } else if (arg == "--backoff-s") {
-      options.backoff_s = next_seconds();
-      backoff_flag = options.backoff_s;
-    } else if (arg == "--faults") faults_flag = next();
-    else if (arg == "--shard") {
-      shard_flag = parse_shard(next());
-      options.shard_index = shard_flag->first;
-      options.shard_count = shard_flag->second;
+      runner_flags.push_back(
+          [s = next_seconds()](SuiteFile& f) { f.options.backoff_s = s; });
+    } else if (arg == "--faults") {
+      runner_flags.push_back(
+          [text = next()](SuiteFile& f) { f.faults = text; });
+    } else if (arg == "--shard") {
+      runner_flags.push_back([shard = parse_shard(next())](SuiteFile& f) {
+        f.options.shard_index = shard.first;
+        f.options.shard_count = shard.second;
+      });
     } else if (arg == "--resume") resume_flag = next();
-    else if (arg == "--raw-seeds") { options.derive_seeds = false; raw_seeds = true; }
+    else if (arg == "--raw-seeds") raw_seeds = true;
     else if (arg == "--csv") csv = true;
     else if (arg == "--wall") wall = true;
     else if (arg == "--sink") sink_name = next();
@@ -291,38 +280,44 @@ int run(int argc, char** argv) {
     }
   }
 
-  // COLSCORE_FAULTS lets the chaos/crash tests inject faults into an
-  // unmodified command line; an explicit --faults wins.
-  if (!faults_flag.has_value()) {
-    const char* env = std::getenv("COLSCORE_FAULTS");
-    if (env != nullptr && *env != '\0') faults_flag = std::string(env);
+  // ---- the suite: a --suite file, or the one the flags spell -----------------
+  SuiteFile file;
+  if (!suite_path.empty()) {
+    // A suite file is the reviewable artifact; flags silently fighting its
+    // contents would defeat the point, so anything that defines the
+    // experiment or the row shape is rejected rather than merged or
+    // dropped. The sink, its destination, and the runner flags are
+    // invocation choices, not experiment definition, and stay overridable.
+    if (spec_touched || grid_requested)
+      throw ScenarioError(
+          "--suite cannot be combined with scenario or grid flags; edit the "
+          "suite file (or spell the sweep with --grid)");
+    if (!list_columns &&
+        (csv || wall || raw_seeds || columns_flag.has_value() ||
+         summary != SummaryStat::kNone))
+      throw ScenarioError(
+          "--suite cannot be combined with --csv/--wall/--raw-seeds/"
+          "--columns/--summary; set the suite file's \"sink\", \"wall\", "
+          "\"derive_seeds\", \"columns\", or \"summary\" keys (or override "
+          "the sink alone with --sink)");
+    file = load_suite_file(suite_path);
+  } else {
+    // A `reps=K` grid axis is a suite-level replication count, not a
+    // scenario override: it becomes the suite's reps, so the output grows
+    // a rep column exactly when replication is in play.
+    std::vector<GridAxis> axes = parse_grid(grid);
+    file.options.reps = take_reps_axis(axes);
+    file.base = spec;
+    file.grids.push_back(std::move(axes));
   }
-
-  // --threads also sizes the process-default policy, so default-argument
-  // code paths (ExecPolicy::process_default) agree with the suite policy.
-  // This is the one sanctioned reset_global call site (see CL012).
-  if (threads_flag.has_value()) ThreadPool::reset_global(*threads_flag);
 
   // ---- schema listing --------------------------------------------------------
   // Handled after the flag loop (unlike the registry listings) so the schema
   // reflects the scenarios the other flags select — entry-declared metrics
   // appear for every workload/adversary/algorithm in play, including ones a
-  // --grid axis sweeps in.
+  // grid axis or a suite file sweeps in.
   if (list_columns) {
-    MetricSchema schema;
-    if (!suite_path.empty()) {
-      // Listing for a suite file: its own expansion defines the schema, so
-      // the same exclusivity rule as running it applies.
-      if (spec_touched || grid_requested)
-        throw ScenarioError(
-            "--suite cannot be combined with scenario or grid flags; edit "
-            "the suite file (or spell the sweep with --grid)");
-      schema = suite_metric_schema(load_suite_file(suite_path).expand());
-    } else {
-      std::vector<GridAxis> list_axes = parse_grid(grid);
-      (void)take_reps_axis(list_axes);
-      schema = suite_metric_schema(expand_grid(spec, list_axes));
-    }
+    const MetricSchema schema = suite_metric_schema(file.expand());
     std::printf("columns:\n");
     std::size_t key_width = 0;
     std::size_t origin_width = 0;
@@ -338,122 +333,50 @@ int run(int argc, char** argv) {
     return 0;
   }
 
-  // ---- suite-file mode -------------------------------------------------------
-  if (!suite_path.empty()) {
-    // A suite file is the reviewable artifact; flags silently fighting its
-    // contents would defeat the point, so anything that defines the
-    // experiment or the row shape is rejected rather than merged or
-    // dropped. Sink/output/threads are runner choices, not experiment
-    // definition, and stay overridable.
-    if (spec_touched || grid_requested)
-      throw ScenarioError(
-          "--suite cannot be combined with scenario or grid flags; edit the "
-          "suite file (or spell the sweep with --grid)");
-    if (csv || wall || raw_seeds || columns_flag.has_value() ||
-        summary != SummaryStat::kNone)
-      throw ScenarioError(
-          "--suite cannot be combined with --csv/--wall/--raw-seeds/"
-          "--columns/--summary; set the suite file's \"sink\", \"wall\", "
-          "\"derive_seeds\", \"columns\", or \"summary\" keys (or override "
-          "the sink alone with --sink)");
+  if (suite_path.empty()) {
+    // Single runs keep their literal seed; grids derive per-cell seeds.
+    file.options.derive_seeds = grid_requested && !raw_seeds;
+    // --csv is the historical shorthand: CSV rows with the wall column. Any
+    // other machine output goes through a registered sink; --out, --columns,
+    // or --summary alone imply the csv sink.
+    if (csv) {
+      if (!sink_name.has_value()) sink_name = "csv";
+      wall = true;
+    } else if (!sink_name.has_value() &&
+               (out_path.has_value() || columns_flag.has_value() ||
+                summary != SummaryStat::kNone)) {
+      sink_name = "csv";
+    }
+    file.include_wall = wall;
+    if (columns_flag.has_value())
+      file.columns = parse_column_list(*columns_flag);
+    file.summary = summary;
+  }
+  if (sink_name.has_value()) file.sink = *sink_name;
+  if (out_path.has_value()) file.output = *out_path;
+  for (const auto& write : runner_flags) write(file);
+
+  // Every machine-readable run, grid or suite file, streams through the
+  // suite-file runner (schema, column selection, resume, sink faults).
+  if (!suite_path.empty() || sink_name.has_value()) {
     SuiteFileOverrides overrides;
-    overrides.sink = sink_name;
-    overrides.output = out_path;
-    overrides.threads = threads_flag;
-    overrides.retries = retries_flag;
-    overrides.timeout_s = timeout_flag;
-    overrides.backoff_s = backoff_flag;
-    overrides.faults = faults_flag;
-    overrides.shard = shard_flag;
     overrides.resume = resume_flag;
-    return sweep_exit_code(run_suite_file(load_suite_file(suite_path),
-                                          overrides));
+    return sweep_exit_code(run_suite_file(file, overrides));
   }
 
-  // Single runs keep their literal seed; grids derive per-cell seeds.
-  if (!grid_requested) options.derive_seeds = false;
-
-  // A `reps=K` grid axis is a suite-level replication count, not a scenario
-  // override; extract it here so the output grows a rep column exactly when
-  // replication is in play.
-  std::vector<GridAxis> axes = parse_grid(grid);
-  options.reps = take_reps_axis(axes);
+  // ---- human-readable report -------------------------------------------------
+  const FaultPlan faults = FaultPlan::parse(file.faults);
+  SuiteOptions options = file.options;
+  options.faults = faults.empty() ? nullptr : &faults;
   const bool show_rep = options.reps > 1;
-
-  // --csv is the historical shorthand: CSV rows with the wall column. Any
-  // other machine output goes through a registered sink; --out, --columns,
-  // or --summary alone imply the csv sink.
-  if (csv) {
-    if (!sink_name.has_value()) sink_name = "csv";
-    wall = true;
-  } else if (!sink_name.has_value() &&
-             (out_path.has_value() || columns_flag.has_value() ||
-              summary != SummaryStat::kNone)) {
-    sink_name = "csv";
-  }
-
-  const std::vector<ScenarioSpec> specs = expand_grid(spec, axes);
-
-  FaultPlan faults;  // outlives the runner below
-  if (faults_flag.has_value()) faults = FaultPlan::parse(*faults_flag);
-  if (!faults.empty()) options.faults = &faults;
-
-  // Plan before the sink exists: --resume reads the prior artifact before
-  // a fresh sink truncates PATH.tmp.
-  std::vector<SuiteRun> runs = SuiteRunner(options).plan(specs);
-
-  std::unique_ptr<ResultSink> sink;
-  MetricSchema schema;
-  std::optional<RecordStream> stream;
-  std::optional<ResumeContext> resume;
-  if (sink_name.has_value()) {
-    // The sweep's schema (built-ins + every cell's entry metrics, resolved
-    // once per distinct entry triple); column selection and the per-cell
-    // summary run in RecordStream, shared by every sink.
-    schema = suite_metric_schema(specs);
-    std::vector<std::string> columns =
-        columns_flag.has_value() ? parse_column_list(*columns_flag)
-                                 : default_columns(wall, show_rep);
-    // --wall (incl. --csv's implied wall) is an explicit request; honor it
-    // alongside an explicit selection rather than silently dropping it.
-    if (wall && columns_flag.has_value() &&
-        std::find(columns.begin(), columns.end(), "wall_s") == columns.end())
-      columns.push_back("wall_s");
-    if (resume_flag.has_value())
-      resume = prepare_resume(*sink_name, *resume_flag, runs, schema, columns,
-                              summary);
-    SinkConfig config;
-    if (out_path.has_value()) config.path = *out_path;
-    sink = make_sink(*sink_name, config);
-    if (faults.has_sink_faults())
-      sink = std::make_unique<FaultInjectingSink>(faults, std::move(sink));
-    stream.emplace(*sink, schema, columns,
-                   RecordStream::Options{summary, options.reps});
-  } else if (resume_flag.has_value()) {
+  options.on_result = [&](const SuiteRun& run) { print_human(run, show_rep); };
+  const SuiteRunner runner(options);
+  std::vector<SuiteRun> runs = runner.plan(file.expand());
+  if (resume_flag.has_value())
     throw ScenarioError(
         "--resume works on a sink artifact; pick the sink it was written "
         "with (--sink/--csv) and the destination (--out)");
-  }
-  options.on_result = [&](const SuiteRun& run) {
-    if (stream) {
-      // A kSkipped run inside the shard is a resume substitution: replay
-      // the prior artifact's row byte-for-byte.
-      if (run.status == RunStatus::kSkipped && resume.has_value()) {
-        const std::ptrdiff_t ri = resume->plan.prior_row[run.index];
-        if (ri >= 0) {
-          stream->write(widen_prior_row(
-              resume->prior.rows[static_cast<std::size_t>(ri)], schema));
-          return;
-        }
-      }
-      stream->write(make_run_record(run, schema));
-    } else {
-      print_human(run, show_rep);
-    }
-  };
-
-  SuiteRunner(options).execute(runs);
-  if (stream) stream->finish();
+  runner.execute(runs);
   return sweep_exit_code(runs);
 }
 

@@ -6,7 +6,7 @@ concurrency hygiene") as named, suppressible rules over the CMake
 compilation database:
 
     CL001  workspace-group-ownership   RunWorkspace buffer groups
-    CL002  deprecated-probe-api        probe_many / own_probe_many are gone
+    CL002  deprecated-probe-api        removed names (probe_many, shims) stay gone
     CL003  serial-probe-loop           batch slates known up front
     CL004  slow-distance-call          hamming_exceeds / diff_positions_into
     CL005  ambient-randomness          seeds via Rng/mix_keys, time via Timer

@@ -13,7 +13,7 @@ from typing import List, Tuple
 
 from engine import Diagnostic, LintContext, Rule, SourceFile, make_diag
 
-# -- CL002: removed probe-pipeline names stay gone -----------------------------
+# -- CL002: removed names stay gone -------------------------------------------
 
 # Removed name -> what to use instead (the diagnostic's advice).
 _REMOVED = {
@@ -25,6 +25,11 @@ _REMOVED = {
         "rows directly",
     "gather_unpacked":
         "use ProbeOracle::probe_gather (truth rows are always packed)",
+    "suite_csv_columns":
+        "use default_columns (src/sim/record.hpp)",
+    "suite_csv_row":
+        "write suite_row_cells(run) through CsvWriter::row, or stream "
+        "records through a ResultSink",
 }
 
 
@@ -41,13 +46,13 @@ def _check_deprecated(sf: SourceFile, ctx: LintContext) -> List[Diagnostic]:
 RULE_DEPRECATED = Rule(
     rule_id="CL002",
     slug="deprecated-probe-api",
-    description="Removed probe-pipeline names (the uint8-out batch probes "
-                "probe_many / own_probe_many, the virtual TruthSource "
-                "interface and its unpacked gather fallback) must not "
-                "reappear.",
-    hint="the BitRow forms carry identical charge semantics without the "
-         "per-bit unpack, and ProbeOracle reads PreferenceMatrix rows "
-         "directly",
+    description="Names removed from the library must not reappear; each "
+                "entry of the table names its replacement (the uint8-out "
+                "batch probes probe_many / own_probe_many, the virtual "
+                "TruthSource interface and its unpacked gather fallback, "
+                "the suite_csv_columns / suite_csv_row CSV shims).",
+    hint="each diagnostic names the replacement; the removed form was a "
+         "second spelling of it",
     check=_check_deprecated,
 )
 
