@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -18,6 +19,8 @@
 #include "src/model/preference_matrix.hpp"
 
 namespace colscore {
+
+class ProbeMemo;
 
 class ProbeOracle {
  public:
@@ -103,6 +106,8 @@ class ProbeOracle {
   std::size_t n_objects() const { return n_objects_; }
 
  private:
+  friend class ProbeMemo;
+
   /// Adds `amount` probes to p's counter (single round-trip) and enforces
   /// the kHard budget.
   void charge(PlayerId p, std::uint64_t amount) {
@@ -159,6 +164,52 @@ class ProbeOracle {
   std::size_t n_objects_;
   bool serial_charges_ = false;
   std::vector<std::atomic<std::uint64_t>> counts_;
+};
+
+/// Player p's memo over a universe of at most 64 objects (bit i is
+/// objects[i]), for tournaments that look at one coordinate many times. The
+/// constructor reads p's truth over the whole universe once, uncharged;
+/// read(mask) returns the bits on `mask` and marks those coordinates seen;
+/// the destructor charges the seen coordinates in one counter round-trip,
+/// to honest players only. The bits are reachable only through read, so
+/// every coordinate a caller looks at is charged exactly once -- the bill of
+/// single probes behind a memo. The charge lands when the memo goes out of
+/// scope, so a kHard budget aborts iff the whole bill exceeds it.
+class ProbeMemo {
+ public:
+  ProbeMemo(ProbeOracle& oracle, PlayerId p, std::span<const ObjectId> objects,
+            bool charged)
+      : oracle_(oracle), p_(p), charged_(charged) {
+    CS_ASSERT(p < oracle.counts_.size(), "probe memo: bad player id");
+    CS_ASSERT(objects.size() <= bitkernel::kWordBits, "probe memo: universe over 64 objects");
+    universe_ = objects.size() == bitkernel::kWordBits ? ~0ULL : (1ULL << objects.size()) - 1;
+    if (!objects.empty()) oracle.gather_into(p, objects, BitRow(&value_, objects.size()));
+  }
+  ~ProbeMemo() {
+    if (charged_ && seen_ != 0) oracle_.charge(p_, seen_count());
+  }
+  ProbeMemo(const ProbeMemo&) = delete;
+  ProbeMemo& operator=(const ProbeMemo&) = delete;
+
+  /// v(p) on the coordinates of `mask` (zero elsewhere); marks them seen.
+  std::uint64_t read(std::uint64_t mask) {
+    CS_ASSERT((mask & ~universe_) == 0, "probe memo: read outside the universe");
+    seen_ |= mask;
+    return value_ & mask;
+  }
+
+  /// Distinct coordinates read so far: the bill an honest player pays.
+  std::size_t seen_count() const noexcept {
+    return static_cast<std::size_t>(std::popcount(seen_));
+  }
+
+ private:
+  ProbeOracle& oracle_;
+  PlayerId p_;
+  bool charged_;
+  std::uint64_t universe_ = 0;
+  std::uint64_t value_ = 0;
+  std::uint64_t seen_ = 0;
 };
 
 }  // namespace colscore

@@ -118,6 +118,7 @@ ProtocolResult calculate_preferences(ProtocolEnv& env, const Params& params,
     SmallRadiusResult sr =
         small_radius(all_players, sample, srp, env, mix_keys(iter_key, 1));
     info.sr_candidate_overflow = sr.stats.candidate_overflow;
+    info.sr_settled_subsets = sr.stats.settled_subsets;
 
     // Publication of the z-vectors used for the graph (dishonest players may
     // publish mimicry/garbage here). The family lives in one contiguous

@@ -18,6 +18,7 @@ struct IterationInfo {
   std::size_t leftovers = 0;
   std::size_t orphans = 0;
   std::size_t sr_candidate_overflow = 0;
+  std::size_t sr_settled_subsets = 0;
 };
 
 struct ProtocolResult {

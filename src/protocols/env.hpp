@@ -59,10 +59,11 @@ struct ProtocolEnv {
 
   /// Learn an arbitrary object slate into a BitRow: bit i = v(p)_objects[i].
   /// Contiguous ascending slates of more than 64 objects take the word path
-  /// (probe_row); every other slate (Select's per-pair batches, single
-  /// probes of elimination loops) is one gather, inline off a packed truth
-  /// row. Charges are identical to probing the slate object by object with
-  /// no memo (duplicates pay).
+  /// (probe_row); every other slate (the wide Select tournament's per-pair
+  /// batches, a forced Select's one coordinate, single probes of
+  /// elimination loops) is one gather, inline off a packed truth row.
+  /// Charges are identical to probing the slate object by object with no
+  /// memo (duplicates pay).
   void own_probe_bits(PlayerId p, std::span<const ObjectId> objects, BitRow out) {
     if (objects.size() > bitkernel::kWordBits) {
       bool contiguous = true;
@@ -77,6 +78,13 @@ struct ProtocolEnv {
       oracle.probe_gather(p, objects, out);
     else
       oracle.adversary_peek_gather(p, objects, out);
+  }
+
+  /// A memo over p's bits on `objects` (at most 64): each coordinate read
+  /// through it is charged once, when the memo goes out of scope, to honest
+  /// players only (see ProbeMemo).
+  ProbeMemo own_probe_memo(PlayerId p, std::span<const ObjectId> objects) {
+    return ProbeMemo(oracle, p, objects, population.is_honest(p));
   }
 
   /// The executing worker's reusable scratch, owned by the policy's arena

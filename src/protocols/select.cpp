@@ -8,13 +8,16 @@
 
 namespace colscore {
 
-// Small plans cover one-word universes. SmallRadius runs tens of millions of
-// Selects over subsets of a handful of objects (on the pinned 18-run grid,
-// 44% of its calls are k = 2 over a 1-bit universe); at that size the
-// workspace buffers of the general path are pure overhead, so the play's
-// probe memo is two uint64 planes in registers and every per-pair list is a
-// fixed stack array. Draw streams, probe charges, and elimination order are
-// identical to the general path.
+// Small plans cover one-word universes. SmallRadius runs millions of
+// Selects over subsets of a handful of objects; at that size the workspace
+// buffers of the general path are pure overhead, so every per-pair list is a
+// fixed stack array and the play reads its own bits through a ProbeMemo: one
+// truth read fills the universe, and the coordinates the play looks at are
+// charged once, together, when it ends. (The commonest shape, two
+// candidates one coordinate apart -- 44% of SmallRadius's calls on the
+// pinned 18-run grid -- no longer reaches a tournament: SmallRadius settles
+// it with select_forced.) Draw streams, probe charges, and elimination order
+// are identical to the general path.
 SelectPlan::SelectPlan(std::span<const ConstBitRow> candidates,
                        std::span<const ObjectId> objects)
     : candidates_(candidates), objects_(objects) {
@@ -41,10 +44,10 @@ SelectPlan::SelectPlan(std::span<const ConstBitRow> candidates,
 /// The per-player play of a SelectPlan. Pair streams depend only on the
 /// phase key and the pair (content hashes for Select, indices for RSelect),
 /// never on probe results, so a pair's t coordinates are all drawn before
-/// any probe and the uncached ones — first occurrence each, exactly the
-/// coords the serial formulation charged — go through one batched
-/// own_probe_bits charge. Players remember their own probe results within a
-/// tournament, so each distinct coordinate is charged at most once.
+/// any probe. Players remember their own probe results within a tournament,
+/// so each distinct coordinate is charged once: small plays read through a
+/// ProbeMemo and pay when the play ends; the general play charges each
+/// pair's first-seen coordinates as one own_probe_bits batch.
 ///
 /// A pair that differs in exactly one coordinate is forced: below(1) == 0
 /// under every stream, so all its draws are that coordinate and neither the
@@ -123,10 +126,8 @@ SelectOutcome SelectTournament::play_small(PlayerId p, const SelectPlan& plan,
                                            std::size_t probes_per_pair,
                                            std::size_t skip_below, bool deterministic) {
   const std::size_t k = plan.size();
-  const std::span<const ObjectId> objects = plan.objects_;
   SelectOutcome out;
-  std::uint64_t probed = 0;  // coord memo planes (one word covers the universe)
-  std::uint64_t value = 0;
+  ProbeMemo memo = env.own_probe_memo(p, plan.objects_);
   std::uint8_t alive[SelectPlan::kSmallK];
   std::uint32_t wins[SelectPlan::kSmallK] = {};
   std::fill_n(alive, SelectPlan::kSmallK, 1);
@@ -140,11 +141,13 @@ SelectOutcome SelectTournament::play_small(PlayerId p, const SelectPlan& plan,
       const std::size_t cnt = plan.pair_count_[pair];
       if (cnt == 0 || cnt <= skip_below) continue;
       const std::uint64_t diffw = plan.pair_diff_[pair];
+      const std::uint64_t wi = plan.words_[i];
 
       const std::size_t t = std::min(probes_per_pair, cnt);
-      std::uint8_t drawn[64];
+      std::size_t agree_i = 0;
       if (cnt == 1) {
-        std::fill_n(drawn, t, static_cast<std::uint8_t>(std::countr_zero(diffw)));
+        // Every draw is the one coordinate: all t agree with i, or none.
+        if (t != 0 && memo.read(diffw) == (wi & diffw)) agree_i = t;
       } else {
         Rng stream =
             pair_stream(p, env, key, deterministic ? plan.hashes_ : nullptr, i, j);
@@ -154,37 +157,21 @@ SelectOutcome SelectTournament::play_small(PlayerId p, const SelectPlan& plan,
           pos[d] = static_cast<std::uint8_t>(std::countr_zero(rest));
           rest &= rest - 1;
         }
-        for (std::size_t s = 0; s < t; ++s) drawn[s] = pos[stream.below(cnt)];
-      }
-
-      std::uint8_t batch_coords[64];
-      ObjectId batch_objects[64];
-      std::size_t batch = 0;
-      for (std::size_t s = 0; s < t; ++s) {
-        const std::uint8_t coord = drawn[s];
-        if (((probed >> coord) & 1) == 0) {
-          probed |= 1ULL << coord;
-          batch_coords[batch] = coord;
-          batch_objects[batch++] = objects[coord];
+        std::uint8_t drawn[64];
+        std::uint64_t mask = 0;
+        for (std::size_t s = 0; s < t; ++s) {
+          drawn[s] = pos[stream.below(cnt)];
+          mask |= 1ULL << drawn[s];
         }
+        const std::uint64_t agree = ~(memo.read(mask) ^ wi);
+        for (std::size_t s = 0; s < t; ++s) agree_i += (agree >> drawn[s]) & 1;
       }
-      if (batch != 0) {
-        std::uint64_t got = 0;
-        env.own_probe_bits(p, {batch_objects, batch}, BitRow(&got, batch));
-        out.probes += batch;
-        for (std::size_t b = 0; b < batch; ++b)
-          value |= ((got >> b) & 1ULL) << batch_coords[b];
-      }
-
-      const std::uint64_t wi = plan.words_[i];
-      std::size_t agree_i = 0;
-      for (std::size_t s = 0; s < t; ++s)
-        if (((value >> drawn[s]) & 1) == ((wi >> drawn[s]) & 1)) ++agree_i;
       ++out.pairs_probed;
       eliminate(i, j, t, agree_i, alive, wins);
     }
   }
   out.chosen = winner(k, alive, wins);
+  out.probes = memo.seen_count();
   return out;
 }
 
@@ -338,6 +325,20 @@ SelectOutcome SelectTournament::prefiltered(PlayerId p, const SelectPlan& plan,
   out.chosen = finalist_ids[inner.chosen];
   out.probes += inner.probes;
   out.pairs_probed = inner.pairs_probed;
+  return out;
+}
+
+SelectOutcome select_forced(PlayerId p, const SelectPlan& plan, ProtocolEnv& env,
+                            std::size_t probes_per_pair) {
+  const std::size_t c = plan.forced_coordinate();
+  CS_ASSERT(c != SelectPlan::kNotForced, "select_forced: plan is not forced");
+  SelectOutcome out;
+  out.pairs_probed = 1;
+  if (probes_per_pair == 0) return out;  // no draw: the 0-of-0 majority keeps 0
+  std::uint64_t own = 0;
+  env.own_probe_bits(p, plan.objects_.subspan(c, 1), BitRow(&own, 1));
+  out.probes = 1;
+  out.chosen = own == ((plan.words_[0] >> c) & 1) ? 0 : 1;
   return out;
 }
 

@@ -17,11 +17,14 @@
 // the same popular set U_i, so it builds one plan per subset and plays it
 // for each player (workers share the plan read-only): select_prefiltered
 // takes a plan, while rselect and select_deterministic build one per call
-// and play it once. Candidates are passed as
-// std::span<const ConstBitRow> — zero-copy views of BitMatrix rows or
-// BitVectors alike.
+// and play it once. A plan of two candidates one coordinate apart is
+// forced: every play probes that coordinate and keeps the candidate that
+// agrees with it, so select_forced settles it in closed form with no
+// tournament. Candidates are passed as std::span<const ConstBitRow> —
+// zero-copy views of BitMatrix rows or BitVectors alike.
 #pragma once
 
+#include <bit>
 #include <span>
 #include <vector>
 
@@ -77,8 +80,22 @@ class SelectPlan {
 
   std::size_t size() const noexcept { return candidates_.size(); }
 
+  static constexpr std::size_t kNotForced = ~std::size_t{0};
+
+  /// The decision coordinate of a forced plan (two candidates differing in
+  /// exactly one coordinate), or kNotForced. This is the only fully forced
+  /// shape among distinct candidates: three distinct vectors cannot be
+  /// pairwise one coordinate apart.
+  std::size_t forced_coordinate() const noexcept {
+    return small_ && size() == 2 && pair_count_[0] == 1
+               ? static_cast<std::size_t>(std::countr_zero(pair_diff_[0]))
+               : kNotForced;
+  }
+
  private:
   friend struct SelectTournament;  // the play side (select.cpp)
+  friend SelectOutcome select_forced(PlayerId p, const SelectPlan& plan, ProtocolEnv& env,
+                                     std::size_t probes_per_pair);
   static constexpr std::size_t kSmallPairs = kSmallK * (kSmallK - 1) / 2;
 
   /// Index of pair (i, j), i < j, in the triangular pair table.
@@ -95,6 +112,15 @@ class SelectPlan {
   std::uint64_t pair_diff_[kSmallPairs];
   std::uint8_t pair_count_[kSmallPairs];
 };
+
+/// Select on a forced plan (forced_coordinate() != kNotForced) in closed
+/// form, with the tournament's outcome and charge: the player learns its own
+/// bit on the decision coordinate with one one-object probe and chooses the
+/// candidate that agrees with it. With probes_per_pair == 0 nothing is
+/// probed and candidate 0 wins. No key, stream or tournament is involved,
+/// so the result does not depend on the phase key.
+SelectOutcome select_forced(PlayerId p, const SelectPlan& plan, ProtocolEnv& env,
+                            std::size_t probes_per_pair);
 
 /// Randomized candidate selection for player `p`.
 /// `objects[i]` is the global object id of coordinate i of every candidate.

@@ -135,14 +135,22 @@ SmallRadiusResult small_radius(std::span<const PlayerId> players,
       // Step 3: every player selects its vector for this subset. Everything
       // that depends only on U_i (candidate words, hashes, pair differences)
       // is planned once here; workers play the plan read-only. Each player's
-      // key mix_keys(sub_key, p) is mixed only if its tournament draws.
+      // key mix_keys(sub_key, p) is mixed only if its tournament draws. A
+      // forced plan (two candidates one coordinate apart) that the prefilter
+      // would not touch is settled in closed form: each player's vector is
+      // U_i's first with the decision coordinate set to its own bit.
       const std::vector<ConstBitRow> ui_views(ui.begin(), ui.end());
       const SelectPlan plan(ui_views, sub_objects);
+      const bool settled = plan.forced_coordinate() != SelectPlan::kNotForced &&
+                           plan.size() <= params.max_finalists;
+      result.stats.settled_subsets += settled;
       env.par_for(0, players.size(), [&](std::size_t i) {
-        const SelectOutcome sel = select_prefiltered(
-            players[i], plan, env, SelectKey(sub_key, players[i]),
-            params.probes_per_pair, params.prefilter_probes, params.max_finalists,
-            /*skip_below=*/0);
+        const SelectOutcome sel =
+            settled ? select_forced(players[i], plan, env, params.probes_per_pair)
+                    : select_prefiltered(players[i], plan, env,
+                                         SelectKey(sub_key, players[i]),
+                                         params.probes_per_pair, params.prefilter_probes,
+                                         params.max_finalists, /*skip_below=*/0);
         // Write the chosen subset vector into the repeat's full candidate.
         BitRow row = candidates[rep].row(i);
         const ConstBitRow chosen(ui[sel.chosen]);

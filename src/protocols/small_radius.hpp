@@ -43,6 +43,7 @@ struct SmallRadiusParams {
 struct SmallRadiusStats {
   std::size_t subsets = 0;          // s actually used (last repeat)
   std::size_t candidate_overflow = 0;  // U_i truncations
+  std::size_t settled_subsets = 0;     // forced subsets settled without a tournament
   ZeroRadiusStats zr;
 };
 

@@ -432,6 +432,9 @@ const MetricSchema& builtin_schema() {
          "orphaned players reassigned after peeling, summed over iterations");
     diag("sr_overflow", MetricType::kSize,
          "SmallRadius candidate-set overflows, summed over iterations");
+    diag("sr_settled_subsets", MetricType::kSize,
+         "SmallRadius subsets settled in closed form (two candidates one "
+         "coordinate apart, no tournament), summed over iterations");
     diag("opt_max_radius", MetricType::kSize,
          "empirical OPT bracket: max radius (absent when OPT is skipped)");
     diag("opt_mean_radius", MetricType::kF64,
@@ -577,6 +580,7 @@ RunRecord make_run_record(const SuiteRun& run, const MetricSchema& schema) {
   std::size_t leftovers = 0;
   std::size_t orphans = 0;
   std::size_t sr_overflow = 0;
+  std::size_t sr_settled = 0;
   for (const IterationInfo& info : out.iterations) {
     // An iteration that formed no clusters reports min_cluster 0; skip those
     // consistently (0 stays the "never observed a cluster" sentinel) so the
@@ -587,6 +591,7 @@ RunRecord make_run_record(const SuiteRun& run, const MetricSchema& schema) {
     leftovers += info.leftovers;
     orphans += info.orphans;
     sr_overflow += info.sr_candidate_overflow;
+    sr_settled += info.sr_settled_subsets;
   }
   record.set_size("clusters_last",
                   out.iterations.empty() ? 0 : out.iterations.back().clusters);
@@ -594,6 +599,7 @@ RunRecord make_run_record(const SuiteRun& run, const MetricSchema& schema) {
   record.set_size("cluster_leftovers", leftovers);
   record.set_size("cluster_orphans", orphans);
   record.set_size("sr_overflow", sr_overflow);
+  record.set_size("sr_settled_subsets", sr_settled);
   if (!out.opt.radius.empty()) {
     record.set_size("opt_max_radius", out.opt.max_radius);
     record.set_f64("opt_mean_radius", out.opt.mean_radius);

@@ -2,7 +2,9 @@
 //
 // probe_row / probe_gather / own_probe_bits must be indistinguishable from
 // the per-bit probe() formulation in both directions the protocol observes:
-// the bits returned, and the per-player probe charges. The fixed-seed
+// the bits returned, and the per-player probe charges. A ProbeMemo must be
+// indistinguishable from probe() behind a per-coordinate memo, with its
+// bill charged once, when it goes out of scope. The fixed-seed
 // charge-hash tests at the bottom pin the whole pipeline's accounting
 // against values captured on the pre-PR tree.
 #include <gtest/gtest.h>
@@ -187,6 +189,99 @@ TEST(ProbePipeline, OwnProbeBitsHonestChargesDishonestPeeksFree) {
       EXPECT_EQ(dishonest.get(i), world.matrix.preference(5, (*slate)[i])) << i;
     }
   }
+}
+
+TEST(ProbePipeline, ProbeMemoMatchesMemoizedProbesAndChargesOnce) {
+  // Each trial reads a universe of 1..64 objects (duplicates allowed: a
+  // memo charges coordinates, not objects) through random masks. The
+  // reference probes every coordinate the first time a mask covers it.
+  Rng picks(0x3e30);
+  const PreferenceMatrix m = random_matrix(4, 150, 12);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto p = static_cast<PlayerId>(picks.below(4));
+    std::vector<ObjectId> objects(1 + picks.below(64));
+    for (ObjectId& o : objects) o = static_cast<ObjectId>(picks.below(150));
+    const std::uint64_t universe =
+        objects.size() == 64 ? ~0ULL : (1ULL << objects.size()) - 1;
+
+    ProbeOracle serial(m);
+    ProbeOracle memoized(m);
+    std::uint64_t seen = 0;
+    std::uint64_t value = 0;
+    {
+      ProbeMemo memo(memoized, p, objects, /*charged=*/true);
+      for (int read = 0; read < 6; ++read) {
+        const std::uint64_t mask = picks() & picks() & universe;
+        for (std::size_t c = 0; c < objects.size(); ++c) {
+          if (((mask >> c) & 1) == 0 || ((seen >> c) & 1) != 0) continue;
+          seen |= 1ULL << c;
+          value |= static_cast<std::uint64_t>(serial.probe(p, objects[c])) << c;
+        }
+        EXPECT_EQ(memo.read(mask), value & mask) << "trial=" << trial;
+        EXPECT_EQ(memo.seen_count(), serial.probes_by(p)) << "trial=" << trial;
+      }
+      EXPECT_EQ(memoized.total_probes(), 0u);  // the bill lands at scope exit
+    }
+    EXPECT_EQ(memoized.probes_by(p), serial.probes_by(p)) << "trial=" << trial;
+    EXPECT_EQ(memoized.total_probes(), serial.total_probes()) << "trial=" << trial;
+  }
+}
+
+TEST(ProbePipeline, ProbeMemoDishonestAndUnreadAreFree) {
+  const std::size_t n = 8, m = 100;
+  World world = identical_clusters(n, m, 2, Rng(4));
+  Population pop(n);
+  pop.set_behavior(5, std::make_unique<Inverter>());
+  ProbeOracle oracle(world.matrix);
+  BulletinBoard board;
+  HonestBeacon beacon(1);
+  ProtocolEnv env(oracle, board, pop, beacon);
+  const std::vector<ObjectId> objects{7, 90, 3, 41, 41, 12};
+  std::uint64_t truth5 = 0;
+  for (std::size_t c = 0; c < objects.size(); ++c)
+    truth5 |= static_cast<std::uint64_t>(world.matrix.preference(5, objects[c])) << c;
+
+  {
+    ProbeMemo memo = env.own_probe_memo(5, objects);  // dishonest: free
+    EXPECT_EQ(memo.read(0x3f), truth5);
+    EXPECT_EQ(memo.seen_count(), 6u);
+  }
+  { ProbeMemo unread = env.own_probe_memo(2, objects); }
+  {
+    ProbeMemo empty_read = env.own_probe_memo(2, objects);
+    EXPECT_EQ(empty_read.read(0), 0u);
+  }
+  { ProbeMemo no_universe = env.own_probe_memo(2, {}); }
+  EXPECT_EQ(oracle.total_probes(), 0u);
+  {
+    ProbeMemo honest = env.own_probe_memo(2, objects);
+    honest.read(0x5);
+    honest.read(0x7);
+  }
+  EXPECT_EQ(oracle.probes_by(2), 3u);
+  EXPECT_EQ(oracle.total_probes(), 3u);
+}
+
+TEST(ProbePipeline, ProbeMemoHardBudgetChargesTheWholeBill) {
+  const PreferenceMatrix m = random_matrix(3, 80, 13);
+  std::vector<ObjectId> objects(16);
+  for (std::size_t c = 0; c < objects.size(); ++c) objects[c] = static_cast<ObjectId>(5 * c);
+  // A bill of exactly the budget passes; rereads pay nothing more.
+  ProbeOracle at_budget(m, ProbeOracle::BudgetMode::kHard, 10);
+  {
+    ProbeMemo memo(at_budget, 1, objects, /*charged=*/true);
+    memo.read(0x3ff);
+    memo.read(0x0ff);
+  }
+  EXPECT_EQ(at_budget.probes_by(1), 10u);
+  // A bill of budget + 1 aborts when the memo charges it.
+  ProbeOracle over_budget(m, ProbeOracle::BudgetMode::kHard, 10);
+  EXPECT_DEATH(
+      {
+        ProbeMemo memo(over_budget, 1, objects, /*charged=*/true);
+        memo.read(0x7ff);
+      },
+      "budget");
 }
 
 /// FNV-style hash over the per-player probe counters after a full

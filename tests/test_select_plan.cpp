@@ -10,7 +10,9 @@
 // charges. The trials sweep k = 1..16 over 0..64 objects (the small plan)
 // plus wider universes (the general path), with duplicate candidates,
 // forced pairs and skip_below > 0, for honest and dishonest players under
-// both oracle budget modes.
+// both oracle budget modes. select_forced, the closed form SmallRadius uses
+// for forced plans, must agree with the small tournament on every forced
+// shape.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -302,6 +304,95 @@ TEST(SelectPlan, ForcedPairProbesItsOneCoordinate) {
     EXPECT_EQ(out.pairs_probed, 1u);
   }
   EXPECT_EQ(got.oracle.probes_by(0), 8u);
+}
+
+// ---- forced plans -----------------------------------------------------------
+
+/// Settles every forced shape in closed form on `got` and plays the small
+/// tournament on `ref`: universes of 1..64 objects, every decision
+/// coordinate c, both truth bits on it, probes_per_pair 0, 1 and 12, every
+/// player (4 and 5 are dishonest). The winner must be candidate 0 with
+/// coordinate c set to the player's own bit (left as is when nothing is
+/// probed).
+void compare_forced(const World& world, Stack& ref, Stack& got) {
+  Rng rng(0xf0ced);
+  std::vector<ObjectId> all(kObjects);
+  for (ObjectId o = 0; o < kObjects; ++o) all[o] = o;
+  for (std::size_t u = 1; u <= 64; ++u) {
+    for (std::size_t c = 0; c < u; ++c) {
+      for (const bool truth : {false, true}) {
+        for (PlayerId p = 0; p < world.n_players(); ++p) {
+          // A random universe whose coordinate c is an object on which p's
+          // truth is `truth`, drawn from outside the rest of the universe.
+          for (std::size_t s = 0; s < kObjects; ++s)
+            std::swap(all[s], all[s + rng.below(kObjects - s)]);
+          const auto rest = all.begin() + static_cast<std::ptrdiff_t>(u);
+          std::vector<ObjectId> objects(all.begin(), rest);
+          const auto decision = std::find_if(rest, all.end(), [&](ObjectId o) {
+            return world.matrix.preference(p, o) == truth;
+          });
+          ASSERT_NE(decision, all.end());
+          objects[c] = *decision;
+          BitVector w0(u);
+          w0.randomize(rng);
+          BitVector w1 = w0;
+          w1.flip(c);
+          const std::vector<ConstBitRow> views = {w0, w1};
+          const SelectPlan plan(views, objects);
+          ASSERT_EQ(plan.forced_coordinate(), c);
+          for (const std::size_t per_pair : {0u, 1u, 12u}) {
+            const SelectOutcome settled = select_forced(p, plan, got.env, per_pair);
+            expect_same(settled,
+                        select_deterministic(p, views, objects, ref.env, rng(), per_pair, 0),
+                        "select_forced", u * 64 + c, p);
+            EXPECT_EQ(views[settled.chosen].get(c), per_pair == 0 ? w0.get(c) : truth)
+                << "u=" << u << " c=" << c << " p=" << p;
+          }
+        }
+      }
+    }
+  }
+  for (PlayerId p = 0; p < world.n_players(); ++p)
+    EXPECT_EQ(got.oracle.probes_by(p), ref.oracle.probes_by(p)) << "p=" << p;
+}
+
+TEST(SelectPlan, ForcedClosedFormMatchesTournament) {
+  const World world = test_world();
+  Stack ref(world);
+  Stack got(world);
+  compare_forced(world, ref, got);
+  EXPECT_EQ(got.oracle.probes_by(4), 0u);  // dishonest players peek for free
+  EXPECT_EQ(got.oracle.probes_by(5), 0u);
+  EXPECT_GT(got.oracle.probes_by(0), 0u);
+
+  // The same sweep against a kHard budget set to the largest bill.
+  const std::uint64_t budget = ref.oracle.max_probes();
+  Stack ref_hard(world);
+  Stack got_hard(world, ProbeOracle::BudgetMode::kHard, budget);
+  compare_forced(world, ref_hard, got_hard);
+  EXPECT_EQ(got_hard.oracle.max_probes(), budget);
+}
+
+TEST(SelectPlan, OnlyTwoCandidatesOneApartAreForced) {
+  const std::vector<ObjectId> objects = {3, 17, 40, 99};
+  BitVector a(4), b(4), c(4);
+  b.flip(1);
+  c.flip(1);
+  c.flip(3);
+  const auto forced = [&](std::vector<ConstBitRow> views) {
+    return SelectPlan(views, objects).forced_coordinate();
+  };
+  EXPECT_EQ(forced({a, b}), 1u);
+  EXPECT_EQ(forced({b, a}), 1u);
+  EXPECT_EQ(forced({a, c}), SelectPlan::kNotForced);      // two coordinates apart
+  EXPECT_EQ(forced({a, b, c}), SelectPlan::kNotForced);   // three candidates
+  EXPECT_EQ(forced({a}), SelectPlan::kNotForced);
+  EXPECT_EQ(forced({a, a}), SelectPlan::kNotForced);      // identical
+  const std::vector<ObjectId> wide(65, 0);
+  BitVector x(65), y(65);
+  y.flip(64);
+  const std::vector<ConstBitRow> wide_views = {x, y};
+  EXPECT_EQ(SelectPlan(wide_views, wide).forced_coordinate(), SelectPlan::kNotForced);
 }
 
 TEST(SelectPlan, SharedPlanAcrossWorkersMatchesSerial) {

@@ -146,6 +146,7 @@ TEST(SmallRadius, MoreRepeatsNeverHurtMuch) {
 struct RunHashes {
   std::uint64_t outputs = 0xcbf29ce484222325ULL;
   std::uint64_t probes_by = 0xcbf29ce484222325ULL;
+  std::size_t settled_subsets = 0;
 };
 
 RunHashes fixed_seed_hashes(std::size_t n_objects, std::size_t diameter,
@@ -160,6 +161,7 @@ RunHashes fixed_seed_hashes(std::size_t n_objects, std::size_t diameter,
   const auto players = h.all_players();
   const SmallRadiusResult r = small_radius(players, h.all_objects(), params, h.env, 23);
   RunHashes out;
+  out.settled_subsets = r.stats.settled_subsets;
   for (const BitVector& v : r.outputs) {
     for (const std::uint64_t w : ConstBitRow(v).words()) {
       out.outputs ^= w;
@@ -177,14 +179,22 @@ RunHashes fixed_seed_hashes(std::size_t n_objects, std::size_t diameter,
 // a per-player play: outputs and per-player charges must not move. The
 // first run has subsets of ~8 objects (D = 8) and a prefilter on every U_i
 // of more than 3 candidates; the second has subsets around 64 objects
-// (D = 1), so both tournament paths run.
+// (D = 1), so both tournament paths run. The third (D = 32, subsets of ~2
+// objects) settles 50 of its 128 subsets in closed form; its hashes were
+// captured before forced subsets skipped the tournament.
 TEST(SmallRadius, FixedSeedOutputsAndChargesUnchanged) {
   const RunHashes small_subsets = fixed_seed_hashes(128, 8, 3);
   EXPECT_EQ(small_subsets.outputs, 0x4c077530142a73dcULL);
   EXPECT_EQ(small_subsets.probes_by, 0xaae431f41a4ffec0ULL);
+  EXPECT_EQ(small_subsets.settled_subsets, 0u);
   const RunHashes wide_subsets = fixed_seed_hashes(128, 1, 8);
   EXPECT_EQ(wide_subsets.outputs, 0xb696d683552f8d64ULL);
   EXPECT_EQ(wide_subsets.probes_by, 0x89540eb402fdfd67ULL);
+  EXPECT_EQ(wide_subsets.settled_subsets, 0u);
+  const RunHashes tiny_subsets = fixed_seed_hashes(128, 32, 3);
+  EXPECT_EQ(tiny_subsets.outputs, 0x953594879b7a58b6ULL);
+  EXPECT_EQ(tiny_subsets.probes_by, 0x65856a89b41641feULL);
+  EXPECT_EQ(tiny_subsets.settled_subsets, 50u);  // sr_settled_subsets
 }
 
 class SmallRadiusDiameterSweep : public ::testing::TestWithParam<std::size_t> {};

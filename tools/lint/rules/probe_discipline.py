@@ -1,10 +1,15 @@
-"""CL002/CL003/CL004: probe-pipeline API discipline.
+"""CL002/CL003/CL004/CL013: probe-pipeline API discipline.
 
-The probe pipeline (ROADMAP "Probe pipeline + run workspaces") has exactly
-three sanctioned read shapes: probe_row for contiguous ranges, probe_gather /
-own_probe_bits for slates known up front, and single probe()/own_probe()
-only inside genuinely adaptive loops.  These rules keep the next perf PR
-from quietly reintroducing the serial forms the pipeline replaced.
+The probe pipeline (ROADMAP "Probe pipeline + run workspaces") has four
+sanctioned read shapes: probe_row for contiguous ranges, probe_gather /
+own_probe_bits for slates known up front, a ProbeMemo (own_probe_memo) for
+small tournaments that revisit coordinates -- it charges each coordinate
+read once, when it goes out of scope -- and single probe()/own_probe() only
+inside genuinely adaptive loops.  These rules keep the next perf PR from
+quietly reintroducing the serial forms the pipeline replaced, and keep
+uncharged truth reads (the adversary_peek family) inside the oracle, the
+env's honest/dishonest dispatch and the population's reports, so no
+protocol can peek and charge by hand.
 """
 
 from __future__ import annotations
@@ -171,4 +176,43 @@ RULE_SLOW_DISTANCE = Rule(
     ),
 )
 
-RULES = [RULE_DEPRECATED, RULE_SERIAL_LOOP, RULE_SLOW_DISTANCE]
+# -- CL013: uncharged truth reads stay behind the charging layer --------------
+
+_UNCHARGED = ("adversary_peek", "adversary_peek_row", "adversary_peek_gather")
+
+
+def _check_uncharged_read(sf: SourceFile, ctx: LintContext) -> List[Diagnostic]:
+    out: List[Diagnostic] = []
+    for tok in sf.tokens:
+        if tok.is_ident and tok.text in _UNCHARGED:
+            out.append(make_diag(
+                RULE_UNCHARGED_READ, sf, tok.line, tok.col,
+                f"'{tok.text}' reads truth without charging; learn a "
+                "player's own bits through ProtocolEnv::own_probe / "
+                "own_probe_row / own_probe_bits / own_probe_memo, which "
+                "charge honest players and let dishonest ones read free"))
+    return out
+
+
+RULE_UNCHARGED_READ = Rule(
+    rule_id="CL013",
+    slug="uncharged-truth-read",
+    description="The uncharged truth reads (adversary_peek, "
+                "adversary_peek_row, adversary_peek_gather) are used only by "
+                "the probe oracle, ProtocolEnv's honest/dishonest dispatch "
+                "and the population's reports; protocol code that peeks and "
+                "charges by hand can drift from the per-player bill.",
+    hint="call env.own_probe* (the honest/dishonest split is already "
+         "there); a dishonest-only branch may suppress with "
+         "'// colscore-lint: allow(CL013) <why the read is a dishonest "
+         "player's>'",
+    check=_check_uncharged_read,
+    scope=("src/",),
+    exclude=(
+        "src/board/probe_oracle.hpp", "src/board/probe_oracle.cpp",
+        "src/protocols/env.hpp", "src/model/population.cpp",
+    ),
+)
+
+RULES = [RULE_DEPRECATED, RULE_SERIAL_LOOP, RULE_SLOW_DISTANCE,
+         RULE_UNCHARGED_READ]
