@@ -2,63 +2,43 @@
 
 #include <algorithm>
 
-#include "src/common/assert.hpp"
-#include "src/common/rng.hpp"
-
 namespace colscore {
-
-std::uint64_t BulletinBoard::report_key(std::uint64_t tag, ObjectId object) {
-  return mix_keys(tag, 0x5245504fULL, object);
-}
 
 void BulletinBoard::post_report(std::uint64_t tag, PlayerId author, ObjectId object,
                                 bool value) {
-  const std::uint64_t key = report_key(tag, object);
-  ReportShard& shard = report_shards_[key % kShards];
-  std::lock_guard lock(shard.mutex);
-  shard.by_key[key].push_back(ProbeReport{author, object, value});
-  report_count_.fetch_add(1, std::memory_order_relaxed);
+  const ProbeReport report{author, object, value};
+  post_reports(tag, {&report, 1});
 }
 
-void BulletinBoard::post_reports(std::uint64_t tag, ObjectId object,
-                                 std::span<const PlayerId> authors,
-                                 std::span<const std::uint8_t> values) {
-  CS_ASSERT(authors.size() == values.size(), "post_reports: size mismatch");
-  if (authors.empty()) return;
-  const std::uint64_t key = report_key(tag, object);
-  ReportShard& shard = report_shards_[key % kShards];
+void BulletinBoard::post_reports(std::uint64_t tag,
+                                 std::span<const ProbeReport> reports) {
+  if (reports.empty()) return;
+  ReportShard& shard = report_shards_[tag % kShards];
   std::lock_guard lock(shard.mutex);
-  auto& bucket = shard.by_key[key];
-  bucket.reserve(bucket.size() + authors.size());
-  for (std::size_t i = 0; i < authors.size(); ++i)
-    bucket.push_back(ProbeReport{authors[i], object, values[i] != 0});
-  report_count_.fetch_add(authors.size(), std::memory_order_relaxed);
+  auto& channel = shard.by_tag[tag];
+  // insert grows the arena geometrically; an exact reserve per block would
+  // make a run of blocks quadratic.
+  channel.insert(channel.end(), reports.begin(), reports.end());
+  report_count_.fetch_add(reports.size(), std::memory_order_relaxed);
 }
 
 std::vector<ProbeReport> BulletinBoard::reports_for(std::uint64_t tag,
                                                     ObjectId object) const {
-  const std::uint64_t key = report_key(tag, object);
-  const ReportShard& shard = report_shards_[key % kShards];
-  std::lock_guard lock(shard.mutex);
-  auto it = shard.by_key.find(key);
-  return it == shard.by_key.end() ? std::vector<ProbeReport>{} : it->second;
+  std::vector<ProbeReport> out;
+  for (const ProbeReport& r : all_reports(tag))
+    if (r.object == object) out.push_back(r);
+  return out;
 }
 
 std::vector<ProbeReport> BulletinBoard::all_reports(std::uint64_t tag) const {
   std::vector<ProbeReport> out;
-  for (const auto& shard : report_shards_) {
+  {
+    const ReportShard& shard = report_shards_[tag % kShards];
     std::lock_guard lock(shard.mutex);
-    // colscore-lint: allow(CL007) buckets are re-sorted by object id below,
-    // so the map's hash order cannot reach the caller
-    for (const auto& [key, reports] : shard.by_key) {
-      // Keys embed the tag; verify membership by recomputing.
-      if (!reports.empty() && report_key(tag, reports.front().object) == key) {
-        out.insert(out.end(), reports.begin(), reports.end());
-      }
-    }
+    auto it = shard.by_tag.find(tag);
+    if (it != shard.by_tag.end()) out = it->second;
   }
-  // One object's reports share a bucket, so a stable sort by object id keeps
-  // posting order within each object while fixing the cross-object order.
+  // A stable sort by object id keeps posting order within each object.
   std::stable_sort(out.begin(), out.end(),
                    [](const ProbeReport& a, const ProbeReport& b) {
                      return a.object < b.object;

@@ -8,6 +8,9 @@
 //   * vector posts    — "player a claims its preference vector (for the
 //                        object set identified by the channel tag) is w"
 // Channels are identified by 64-bit tags derived from protocol phase keys.
+// Each channel is one flat append-only store in posting order, and the
+// running counts are charged once per block: per post_reports call, and
+// when a VectorChannelWriter closes.
 #pragma once
 
 #include <atomic>
@@ -15,6 +18,7 @@
 #include <mutex>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/assert.hpp"
@@ -22,12 +26,6 @@
 #include "src/common/types.hpp"
 
 namespace colscore {
-
-struct ProbeReport {
-  PlayerId author = kInvalidPlayer;
-  ObjectId object = kInvalidObject;
-  bool value = false;
-};
 
 struct VectorPost {
   PlayerId author = kInvalidPlayer;
@@ -43,15 +41,13 @@ class BulletinBoard {
   // ---- probe-report channel -------------------------------------------
   void post_report(std::uint64_t tag, PlayerId author, ObjectId object, bool value);
 
-  /// Posts authors[i] claiming values[i] about `object`, in order — board
-  /// state identical to post_report in a loop, but one key derivation, one
-  /// lock acquisition, and one bucket lookup for the whole block (the voting
-  /// loop posts every object's k votes at once).
-  void post_reports(std::uint64_t tag, ObjectId object,
-                    std::span<const PlayerId> authors,
-                    std::span<const std::uint8_t> values);
+  /// Appends `reports` to channel `tag` in order — board state identical to
+  /// post_report in a loop, but one lock acquisition and one count update
+  /// for the whole block (voting posts a cluster's votes at once).
+  void post_reports(std::uint64_t tag, std::span<const ProbeReport> reports);
 
-  /// All reports about `object` on channel `tag` (posting order).
+  /// All reports about `object` on channel `tag` (posting order). Filters
+  /// the whole channel: a cold path for tests.
   std::vector<ProbeReport> reports_for(std::uint64_t tag, ObjectId object) const;
 
   /// All reports on channel `tag` (ascending object id; posting order
@@ -87,21 +83,37 @@ class BulletinBoard {
                 "BulletinBoard: vector post width differs from the channel's width");
       authors.push_back(author);
       const std::span<const std::uint64_t> w = vector.words();
-      words.insert(words.end(), w.begin(), w.end());
+      if (w.size() == 1) {
+        words.push_back(w[0]);  // the common SmallRadius post: one word
+      } else {
+        words.insert(words.end(), w.begin(), w.end());
+      }
     }
   };
 
  public:
-  /// Locked appender for a serial publication loop: one shard lock and one
-  /// bucket lookup amortized over every post to the channel. Board state is
-  /// identical to calling post_vector per player in the same order. Holds
-  /// the shard lock for its lifetime — keep the scope tight and do not
-  /// touch other board channels while it lives.
+  /// Locked appender for a serial publication loop: one shard lock, one
+  /// bucket lookup and one vector_count update amortized over every post to
+  /// the channel. Board state is identical to calling post_vector per player
+  /// in the same order, but the posts are counted when the writer closes
+  /// (a moved-from writer counts nothing). Holds the shard lock for its
+  /// lifetime — keep the scope tight and do not touch other board channels
+  /// while it lives.
   class VectorChannelWriter {
    public:
+    VectorChannelWriter(VectorChannelWriter&& other) noexcept
+        : lock_(std::move(other.lock_)),
+          channel_(other.channel_),
+          count_(std::exchange(other.count_, nullptr)),
+          posted_(other.posted_) {}
+    VectorChannelWriter& operator=(VectorChannelWriter&&) = delete;
+    ~VectorChannelWriter() {
+      if (count_ != nullptr) count_->fetch_add(posted_, std::memory_order_relaxed);
+    }
+
     void post(PlayerId author, ConstBitRow vector) {
       channel_->append(author, vector);
-      count_->fetch_add(1, std::memory_order_relaxed);
+      ++posted_;
     }
 
    private:
@@ -112,6 +124,7 @@ class BulletinBoard {
     std::unique_lock<std::mutex> lock_;
     VectorChannel* channel_;
     std::atomic<std::uint64_t>* count_;
+    std::uint64_t posted_ = 0;
   };
   VectorChannelWriter vector_channel(std::uint64_t tag);
 
@@ -136,14 +149,12 @@ class BulletinBoard {
   static constexpr std::size_t kShards = 64;
   struct ReportShard {
     mutable std::mutex mutex;
-    std::unordered_map<std::uint64_t, std::vector<ProbeReport>> by_key;
+    std::unordered_map<std::uint64_t, std::vector<ProbeReport>> by_tag;
   };
   struct VectorShard {
     mutable std::mutex mutex;
     std::unordered_map<std::uint64_t, VectorChannel> by_tag;
   };
-
-  static std::uint64_t report_key(std::uint64_t tag, ObjectId object);
 
   ReportShard report_shards_[kShards];
   VectorShard vector_shards_[kShards];

@@ -14,4 +14,12 @@ using ObjectId = std::uint32_t;
 inline constexpr PlayerId kInvalidPlayer = static_cast<PlayerId>(-1);
 inline constexpr ObjectId kInvalidObject = static_cast<ObjectId>(-1);
 
+/// "Player `author` claims its preference for `object` is `value`": the
+/// bulletin board's probe-report record.
+struct ProbeReport {
+  PlayerId author = kInvalidPlayer;
+  ObjectId object = kInvalidObject;
+  bool value = false;
+};
+
 }  // namespace colscore

@@ -86,11 +86,10 @@ struct RunWorkspace {
   std::vector<std::size_t> vt_offsets;
   std::vector<std::size_t> vt_cursor;
   std::vector<std::uint32_t> vt_slots_of_voter;
-  std::vector<std::uint8_t> vt_report_of_slot;
+  std::vector<ProbeReport> vt_reports;          // slot-indexed, object-major
   std::vector<std::uint8_t> vt_verdicts;
   std::vector<ObjectId> vt_slate_objects;       // per-voter (parallel body)
   std::vector<std::uint64_t> vt_slate_words;    // per-voter (parallel body)
-  std::vector<PlayerId> vt_authors;             // per-object (parallel body)
 
   // ---- SmallRadius orchestration (small_radius.cpp, caller thread) ---------
   std::vector<std::uint32_t> sr_subset_of;

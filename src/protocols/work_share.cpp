@@ -11,14 +11,14 @@ namespace colscore {
 // cluster charges votes_per_object probes per object. Instead of one charged
 // probe per (object, vote) — which hammers the per-player atomic counters —
 // the loop materialises the shared-random voter assignment first, groups the
-// slots by voter, and lets each honest voter answer its whole slate through
-// the word-level probe pipeline (one charge round-trip per voter; contiguous
-// slates ride ProbeOracle::probe_row, scattered ones the staged gather).
-// Verdicts are identical to the one-probe-at-a-time formulation:
-// assignments, tie-break coins, and per-slot RNG streams are all derived
-// from stable keys, never from execution order. Assignment/report buffers
-// come from the per-worker workspace (vt_* group) so back-to-back clusters
-// and grid cells reuse them.
+// slots by voter, and lets each honest voter answer its whole slate with one
+// ProbeOracle::probe_gather (one charge round-trip per voter; the gather
+// builds the slate's words in registers). Verdicts and board reports are
+// identical to the one-probe-at-a-time formulation: assignments, tie-break
+// coins, and per-slot RNG streams are all derived from stable keys, never
+// from execution order, and the cluster's reports post as one object-major
+// block. Assignment/report buffers come from the per-worker workspace (vt_*
+// group) so back-to-back clusters and grid cells reuse them.
 BitVector cluster_votes(std::span<const PlayerId> members, ProtocolEnv& env,
                         std::uint64_t phase_key, const WorkShareParams& params,
                         WorkShareStats* stats) {
@@ -62,11 +62,12 @@ BitVector cluster_votes(std::span<const PlayerId> members, ProtocolEnv& env,
   // Phase 3: each voter answers its slate. Honest voters batch-probe through
   // the bit pipeline; dishonest voters go through their behaviour slot by
   // slot with the same (phase_key, object, vote) RNG streams the serial
-  // formulation used. Bodies use their own worker's vt_slate_* scratch,
-  // disjoint from the caller's buffers above.
+  // formulation used. Each voter writes the reports of its own slots. Bodies
+  // use their own worker's vt_slate_* scratch, disjoint from the caller's
+  // buffers above.
   const ReportContext ctx{Phase::kVote, phase_key};
-  auto& report_of_slot = ws.vt_report_of_slot;
-  report_of_slot.resize(n_slots);
+  auto& reports = ws.vt_reports;
+  reports.resize(n_slots);
   env.par_for(0, members.size(), [&](std::size_t m) {
     const PlayerId voter = members[m];
     const std::span<const std::uint32_t> slate{
@@ -82,38 +83,29 @@ BitVector cluster_votes(std::span<const PlayerId> members, ProtocolEnv& env,
       BitRow bits(tws.vt_slate_words.data(), slate.size());
       env.oracle.probe_gather(voter, objects, bits);
       for (std::size_t i = 0; i < slate.size(); ++i)
-        report_of_slot[slate[i]] = bits.get(i) ? 1 : 0;
+        reports[slate[i]] = ProbeReport{voter, objects[i], bits.get(i)};
     } else {
       for (std::uint32_t slot : slate) {
         const auto object = static_cast<ObjectId>(slot / k);
         const std::size_t v = slot % k;
         Rng vote_rng = env.local_rng(voter, mix_keys(phase_key, object, v));
-        report_of_slot[slot] =
-            env.population.report_of(voter, object, env.oracle, ctx, vote_rng) ? 1
-                                                                               : 0;
+        reports[slot] = ProbeReport{
+            voter, object,
+            env.population.report_of(voter, object, env.oracle, ctx, vote_rng)};
       }
     }
   });
 
-  // Phase 4: post the reports and take majorities.
+  // Phase 4: post the reports and take majorities. Slots are object-major,
+  // the order the serial formulation posted in, so the whole cluster's
+  // reports post as one block in one board round-trip.
+  env.board.post_reports(phase_key, reports);
   std::atomic<std::uint64_t> ties{0};
   auto& verdicts = ws.vt_verdicts;
   verdicts.assign(n_objects, 0);
   env.par_for(0, n_objects, [&](std::size_t o) {
-    const auto object = static_cast<ObjectId>(o);
-    RunWorkspace& tws = env.workspace();
-    auto& authors = tws.vt_authors;
-    authors.resize(k);
     std::size_t ones = 0;
-    for (std::size_t v = 0; v < k; ++v) {
-      const std::uint32_t slot = o * k + v;
-      authors[v] = members[voter_of[slot]];
-      if (report_of_slot[slot] != 0) ++ones;
-    }
-    // An object's k votes are contiguous slots, so the whole block posts in
-    // one board round-trip (identical report order and content).
-    env.board.post_reports(phase_key, object, authors,
-                           {report_of_slot.data() + o * k, k});
+    for (std::size_t v = 0; v < k; ++v) ones += reports[o * k + v].value ? 1 : 0;
     const std::size_t zeros = k - ones;
     bool verdict;
     if (ones > zeros) {

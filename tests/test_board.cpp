@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 
 #include "src/board/bulletin_board.hpp"
@@ -239,6 +240,123 @@ TEST(BulletinBoard, AllReportsCollectsChannel) {
   for (ObjectId o = 0; o < 10; ++o) board.post_report(9, 0, o, o % 2 == 0);
   const auto all = board.all_reports(9);
   EXPECT_EQ(all.size(), 10u);
+}
+
+// A report channel is one arena in posting order: single posts and blocks
+// interleave exactly as posted, and all_reports orders by object without
+// reordering within an object.
+TEST(BulletinBoard, ReportBlocksKeepPostingOrder) {
+  BulletinBoard board;
+  constexpr std::uint64_t kTag = 11;
+  constexpr std::uint64_t kTwin = kTag + 64;  // same shard, other channel
+  std::vector<ProbeReport> expected;
+  PlayerId author = 0;
+  const auto next = [&](ObjectId o) {
+    const ProbeReport r{author, o, author % 3 == 0};
+    ++author;
+    expected.push_back(r);
+    return r;
+  };
+  for (int round = 0; round < 3; ++round) {
+    const ProbeReport single = next(2);
+    board.post_report(kTag, single.author, single.object, single.value);
+    board.post_report(kTwin, 900, 2, true);
+    std::vector<ProbeReport> block;
+    for (const ObjectId o : {ObjectId{4}, ObjectId{0}, ObjectId{2}, ObjectId{4}})
+      block.push_back(next(o));
+    board.post_reports(kTag, block);
+    board.post_reports(kTag, {});  // an empty block changes nothing
+  }
+  const ProbeReport tail = next(0);
+  board.post_report(kTag, tail.author, tail.object, tail.value);
+
+  for (const ObjectId o : {ObjectId{0}, ObjectId{2}, ObjectId{4}}) {
+    std::vector<ProbeReport> want;
+    for (const ProbeReport& r : expected)
+      if (r.object == o) want.push_back(r);
+    const auto got = board.reports_for(kTag, o);
+    ASSERT_EQ(got.size(), want.size()) << "object " << o;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].author, want[i].author) << "object " << o << " report " << i;
+      EXPECT_EQ(got[i].object, o);
+      EXPECT_EQ(got[i].value, want[i].value);
+    }
+  }
+  EXPECT_TRUE(board.reports_for(kTag, 1).empty());
+
+  std::vector<ProbeReport> sorted = expected;
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const ProbeReport& a, const ProbeReport& b) {
+                     return a.object < b.object;
+                   });
+  const auto all = board.all_reports(kTag);
+  ASSERT_EQ(all.size(), sorted.size());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(all[i].author, sorted[i].author) << "report " << i;
+    EXPECT_EQ(all[i].object, sorted[i].object) << "report " << i;
+    EXPECT_EQ(all[i].value, sorted[i].value) << "report " << i;
+  }
+
+  const auto twin = board.all_reports(kTwin);
+  ASSERT_EQ(twin.size(), 3u);
+  for (const ProbeReport& r : twin) EXPECT_EQ(r.author, 900u);
+  EXPECT_TRUE(board.all_reports(kTag + 1).empty());
+  EXPECT_EQ(board.report_count(), expected.size() + twin.size());
+}
+
+// A writer charges vector_count once, when it closes; a moved-from writer
+// charges nothing and the moved-to one charges every post made through
+// either.
+TEST(BulletinBoard, VectorCountLandsWhenWriterCloses) {
+  BulletinBoard board;
+  BulletinBoard reference;
+  Rng rng(0x51c);
+  std::vector<BitVector> posted;
+  for (int i = 0; i < 7; ++i) posted.push_back(random_bitvector(20, rng));
+  const auto post = [&](PlayerId p) { reference.post_vector(8, p, posted[p]); };
+
+  {
+    auto writer = board.vector_channel(8);
+    writer.post(0, posted[0]);
+    writer.post(1, posted[1]);
+  }
+  post(0);
+  post(1);
+  EXPECT_EQ(board.vector_count(), 2u);
+
+  {
+    auto first = board.vector_channel(8);
+    first.post(2, posted[2]);
+    auto second = std::move(first);
+    second.post(3, posted[3]);
+    second.post(4, posted[4]);
+  }
+  post(2);
+  post(3);
+  post(4);
+  EXPECT_EQ(board.vector_count(), 5u);
+
+  { auto empty = board.vector_channel(8); }
+  EXPECT_EQ(board.vector_count(), 5u);
+
+  board.post_vector(8, 5, posted[5]);
+  post(5);
+  EXPECT_EQ(board.vector_count(), 6u);
+  {
+    auto writer = board.vector_channel(8);
+    writer.post(6, posted[6]);
+  }
+  post(6);
+  EXPECT_EQ(board.vector_count(), 7u);
+  EXPECT_EQ(board.vector_count(), reference.vector_count());
+
+  const auto got = board.vectors(8);
+  const auto want = reference.vectors(8);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].author, want[i].author) << "post " << i;
+    EXPECT_EQ(got[i].vector, want[i].vector) << "post " << i;
+  }
 }
 
 TEST(BulletinBoard, ConcurrentPostsAllLand) {

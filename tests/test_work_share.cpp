@@ -115,6 +115,41 @@ TEST(WorkShare, SleeperLiesOnlyInVotePhase) {
   EXPECT_GT(prediction.hamming(h.world.matrix.row(0)), 64u / 4);
 }
 
+// Golden board state of one fixed-seed vote with Inverter liars, captured
+// when every object's votes were a separate (tag, object) bucket: the
+// channel's (author, object, value) sequence in all_reports order, and the
+// vote-slot order of one object's reports.
+TEST(WorkShare, FixedSeedBoardStateUnchanged) {
+  Harness h(planted_clusters(48, 96, 1, 8, Rng(30)));
+  Rng rng(31);
+  h.population.corrupt_random(12, rng, [] { return std::make_unique<Inverter>(); });
+  WorkShareParams params;
+  params.votes_per_object = 7;
+  constexpr std::uint64_t kTag = 0x5107;
+  cluster_votes(h.all_players(), h.env, kTag, params);
+
+  const auto all = h.board.all_reports(kTag);
+  ASSERT_EQ(all.size(), 96u * 7u);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const ProbeReport& r : all) {
+    for (const std::uint64_t field :
+         {std::uint64_t{r.author}, std::uint64_t{r.object}, std::uint64_t{r.value}}) {
+      hash ^= field;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  EXPECT_EQ(hash, 0xe9c91c23376f4f8eULL);
+
+  std::vector<PlayerId> slot_order;
+  std::vector<bool> values;
+  for (const ProbeReport& r : h.board.reports_for(kTag, 41)) {
+    slot_order.push_back(r.author);
+    values.push_back(r.value);
+  }
+  EXPECT_EQ(slot_order, (std::vector<PlayerId>{34, 12, 24, 1, 11, 10, 37}));
+  EXPECT_EQ(values, (std::vector<bool>{true, true, false, true, true, true, true}));
+}
+
 class WorkShareVoteSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(WorkShareVoteSweep, MoreVotesMoreRobust) {
