@@ -64,8 +64,8 @@ double estimate_edge_density(std::span<const ConstBitRow> z,
 
 /// The auto-backend policy: CSR pays off when n is large enough that the
 /// dense O(n^2)-bit adjacency dominates and the graph is actually sparse.
-/// Thresholds (n >= 2048, density <= 1/16) chosen from BENCH_pr7 A/B runs;
-/// see ROADMAP "SIMD dispatch + CSR neighbor core".
+/// Thresholds (n >= 2048, density <= 1/16) chosen from the dense-vs-CSR A/B
+/// runs recorded in ROADMAP "SIMD dispatch + CSR neighbor core".
 bool csr_preferred(std::span<const ConstBitRow> z, std::size_t threshold);
 
 }  // namespace colscore

@@ -1,8 +1,10 @@
 #include "src/sim/churn.hpp"
 
 #include <utility>
+#include <vector>
 
 #include "src/common/assert.hpp"
+#include "src/protocols/stream.hpp"
 
 namespace colscore {
 
@@ -15,8 +17,9 @@ bool chance(Rng& rng, double p) {
   return static_cast<double>(rng() >> 11) * 0x1p-53 < p;
 }
 
-}  // namespace
-
+/// Draws one epoch's update batch against `alive` (ascending player order,
+/// at most one update per player) and applies the drift flips to `matrix` in
+/// place. The caller then feeds the batch to StreamSession::apply_epoch.
 std::vector<RowUpdate> draw_churn_epoch(PreferenceMatrix& matrix,
                                         const BitVector& alive,
                                         const ChurnConfig& config, Rng& rng) {
@@ -46,6 +49,8 @@ std::vector<RowUpdate> draw_churn_epoch(PreferenceMatrix& matrix,
   return batch;
 }
 
+}  // namespace
+
 ChurnStats run_churn(PreferenceMatrix& matrix, const ChurnConfig& config,
                      Rng& rng, const ExecPolicy& policy) {
   const std::size_t n = matrix.n_players();
@@ -55,7 +60,7 @@ ChurnStats run_churn(PreferenceMatrix& matrix, const ChurnConfig& config,
     views.push_back(std::as_const(matrix).row(p));
 
   StreamSession session(views, config.threshold, config.min_cluster,
-                        config.backend, policy);
+                        GraphBackend::kAuto, policy);
   for (std::size_t e = 0; e < config.epochs; ++e) {
     const std::vector<RowUpdate> batch =
         draw_churn_epoch(matrix, session.graph().alive(), config, rng);

@@ -6,8 +6,8 @@
 // players that stayed: BitRow::flip_random over flip_bits positions), or
 // re-arrive (departed players, row intact). The resulting batch feeds a
 // StreamSession, which maintains the neighbor graph and clustering
-// incrementally (src/protocols/stream.hpp). The same plan-drawing code backs
-// bench_stream_throughput, so the bench measures exactly the workload path.
+// incrementally (src/protocols/stream.hpp) on the auto-resolved graph
+// backend.
 //
 // Determinism: fates and flip positions come only from the caller's Rng (one
 // stream, fixed draw order), and the session's maintenance is
@@ -15,14 +15,12 @@
 // every thread count and backend.
 #pragma once
 
-#include <span>
-#include <vector>
+#include <cstddef>
 
 #include "src/common/exec_policy.hpp"
 #include "src/common/rng.hpp"
 #include "src/model/generators.hpp"
 #include "src/model/preference_matrix.hpp"
-#include "src/protocols/stream.hpp"
 
 namespace colscore {
 
@@ -40,15 +38,7 @@ struct ChurnConfig {
   std::size_t threshold = 32;
   /// Peel floor for the streamed clustering (paper's n/B).
   std::size_t min_cluster = 2;
-  GraphBackend backend = GraphBackend::kAuto;
 };
-
-/// Draws one epoch's update batch against `alive` (ascending player order,
-/// at most one update per player) and applies the drift flips to `matrix` in
-/// place. The caller then feeds the batch to StreamSession::apply_epoch.
-std::vector<RowUpdate> draw_churn_epoch(PreferenceMatrix& matrix,
-                                        const BitVector& alive,
-                                        const ChurnConfig& config, Rng& rng);
 
 /// Runs the full churn simulation over `matrix`: builds a StreamSession,
 /// applies `config.epochs` epochs of drift/arrive/depart, and returns the

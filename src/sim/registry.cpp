@@ -96,7 +96,12 @@ constexpr const char* kCoreKeys[] = {
 bool apply_core_override(Scenario& sc, const std::string& key,
                          const std::string& value) {
   if (key == "n") sc.n = parse_size(key, value);
-  else if (key == "budget") sc.budget = parse_size(key, value);
+  else if (key == "budget") {
+    // Every algorithm sizes its samples by the budget and asserts it is at
+    // least 1; a zero must fail here, not abort a sweep mid-run.
+    sc.budget = parse_size(key, value);
+    if (sc.budget == 0) bad_value(key, value, "a positive integer");
+  }
   else if (key == "seed") sc.seed = parse_u64(key, value);
   else if (key == "diameter") sc.diameter = parse_size(key, value);
   else if (key == "clusters") sc.n_clusters = parse_size(key, value);
@@ -171,31 +176,39 @@ std::size_t derived_clusters(const Scenario& sc) {
   return sc.n_clusters != 0 ? sc.n_clusters : std::max<std::size_t>(1, sc.budget);
 }
 
+/// Churn probabilities: NaN and values outside [0, 1] are rejected.
+void require_probability(const std::string& key, double p) {
+  if (!(p >= 0.0 && p <= 1.0))
+    bad_value(key, format_double(p), "a probability in [0, 1]");
+}
+
 /// The `churn` workload's streaming knobs, resolved from the scenario's
 /// schema-validated extras (defaults live in the extra_* fallbacks so a bare
-/// "workload=churn" runs a sensible drift).
+/// "workload=churn" runs a sensible drift). Range errors throw a
+/// ScenarioError naming the key before any world is built.
 ChurnConfig churn_config_for(const Scenario& sc) {
   ChurnConfig cfg;
   cfg.epochs = sc.extra_size("epochs", 16);
   cfg.flip_rate = sc.extra_double("flip_rate", 0.01);
+  require_probability("flip_rate", cfg.flip_rate);
   cfg.flip_bits = sc.extra_size("flip_bits", 2);
+  // A drifting row flips distinct positions among the world's n objects.
+  if (cfg.flip_bits > sc.n)
+    bad_value("flip_bits", std::to_string(cfg.flip_bits),
+              "at most n (the object count)");
   cfg.arrive = sc.extra_double("arrive", 0.25);
+  require_probability("arrive", cfg.arrive);
   cfg.depart = sc.extra_double("depart", 0.0);
+  require_probability("depart", cfg.depart);
   // Edge threshold for the streamed graph: twice the planted diameter (two
   // members of one cluster sit <= diameter apart; drift can push them a bit
   // past it before re-clustering should separate them). Override with
-  // stream_tau for threshold studies.
-  cfg.threshold = sc.extra_size("stream_tau",
-                                std::max<std::size_t>(1, 2 * sc.diameter));
+  // stream_tau for threshold studies; 0 keeps the derived value, like
+  // clusters=0.
+  const std::size_t tau = sc.extra_size("stream_tau", 0);
+  cfg.threshold = tau != 0 ? tau : std::max<std::size_t>(1, 2 * sc.diameter);
   cfg.min_cluster = std::max<std::size_t>(
       2, sc.n / std::max<std::size_t>(1, derived_clusters(sc)) * 2 / 3);
-  const std::string backend = sc.extra_string("stream_backend", "auto");
-  if (backend == "dense") cfg.backend = GraphBackend::kDense;
-  else if (backend == "csr") cfg.backend = GraphBackend::kCsr;
-  else if (backend == "auto") cfg.backend = GraphBackend::kAuto;
-  else
-    throw ScenarioError("override 'stream_backend=" + backend +
-                        "': expected auto, dense or csr");
   return cfg;
 }
 
@@ -246,12 +259,13 @@ void register_builtin_workloads(WorkloadRegistry& reg) {
        "epochs (default 16) epochs of per-player fates — depart w.p. "
        "`depart` (default 0), else drift w.p. `flip_rate` (default 0.01, "
        "flipping `flip_bits`=2 positions), departed players return w.p. "
-       "`arrive` (default 0.25); stream_tau (default 2*diameter) and "
-       "stream_backend (auto|dense|csr) shape the streamed neighbor graph",
+       "`arrive` (default 0.25); stream_tau (default 2*diameter) is the "
+       "streamed neighbor graph's edge threshold",
        [](const Scenario& sc, Rng& rng, const ExecPolicy& policy) {
+         const ChurnConfig config = churn_config_for(sc);
          World w = planted_clusters(sc.n, sc.n, derived_clusters(sc),
                                     sc.diameter, rng, sc.zipf_sizes);
-         w.churn = run_churn(w.matrix, churn_config_for(sc), rng, policy);
+         w.churn = run_churn(w.matrix, config, rng, policy);
          w.description += " + churn drift";
          return w;
        },
@@ -265,9 +279,7 @@ void register_builtin_workloads(WorkloadRegistry& reg) {
         {"depart", ParamType::kDouble,
          "per-epoch departure probability per alive player"},
         {"stream_tau", ParamType::kSize,
-         "edge threshold of the streamed graph (0 keeps 2*diameter)"},
-        {"stream_backend", ParamType::kString,
-         "streamed graph backend: auto, dense or csr"}},
+         "edge threshold of the streamed graph (0 keeps 2*diameter)"}},
        {{"epochs", MetricType::kU64, "churn epochs simulated"},
         {"edges_changed", MetricType::kU64,
          "graph edges added+removed across all epochs"},

@@ -3,8 +3,9 @@
 // through run_suite_file, so: a suite file and the same sweep spelled as a
 // --grid give identical bytes on every text sink; --shard outputs
 // concatenate to the unsharded rows; --resume merges a fault-injected grid
-// artifact back to the clean bytes; and a malformed numeric flag prints the
-// usage text instead of reaching the runner.
+// artifact back to the clean bytes; a malformed numeric flag prints the
+// usage text instead of reaching the runner; and an invalid grid cell fails
+// the sweep at plan time.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -131,6 +132,23 @@ TEST(CliFrontEnd, NegativeThreadCountPrintsUsage) {
   EXPECT_EQ(result.exit_code, 2);
   EXPECT_NE(result.out.find("usage:"), std::string::npos) << result.out;
   EXPECT_EQ(result.err.find("aborted"), std::string::npos) << result.err;
+}
+
+TEST(CliFrontEnd, ZeroBudgetFailsTheGridAtPlanTime) {
+  // A budget=0 cell must fail the grid at plan time: run isolation catches
+  // exceptions, not assertion aborts, so a mid-run failure would kill the
+  // whole sweep and leave a partial .tmp artifact behind.
+  const std::string out = temp_path("cli_budget0.jsonl");
+  const CliResult result =
+      cli("--grid 'budget=4,0' --n 32 --no-opt --sink jsonl --out " + out +
+          " --threads 1");
+  EXPECT_EQ(result.exit_code, 2) << result.err;
+  EXPECT_NE(result.err.find("budget"), std::string::npos) << result.err;
+  EXPECT_EQ(result.err.find("assertion failed"), std::string::npos)
+      << result.err;
+  EXPECT_FALSE(std::ifstream(out + ".tmp").is_open());
+  std::remove(out.c_str());
+  std::remove((out + ".tmp").c_str());
 }
 
 }  // namespace

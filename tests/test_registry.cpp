@@ -105,6 +105,19 @@ TEST(Scenario, ResolveRejectsBadValues) {
                ScenarioError);
 }
 
+TEST(Scenario, ResolveRejectsAZeroBudget) {
+  // Every algorithm asserts budget >= 1; resolve must reject the value
+  // first, so a grid with a budget=0 cell fails at plan time, not mid-run.
+  try {
+    (void)Scenario::resolve(ScenarioSpec::parse("budget=0"));
+    FAIL() << "expected ScenarioError";
+  } catch (const ScenarioError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("'budget=0'"), std::string::npos) << msg;
+  }
+  EXPECT_EQ(Scenario::resolve(ScenarioSpec::parse("budget=1")).budget, 1u);
+}
+
 TEST(Scenario, PaperParamsExpandThenRefine) {
   const Scenario sc = Scenario::resolve(
       ScenarioSpec::parse("paper_params=1 budget=4 vote_min=13"));

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -296,6 +297,71 @@ TEST(Stream, ChurnWorkloadPublishesItsMetrics) {
         << out.entry_metrics[i].first;
   }
   EXPECT_EQ(out.error.max_error, again.error.max_error);
+}
+
+TEST(Stream, ChurnStreamTauZeroKeepsTheDerivedThreshold) {
+  const std::string base =
+      "workload=churn n=64 budget=4 diameter=8 dishonest=0 opt=0 epochs=8 "
+      "flip_rate=0.05";
+  const auto run = [&](const std::string& extra) {
+    return run_scenario(
+        Scenario::resolve(ScenarioSpec::parse(base + " " + extra)));
+  };
+  const auto edges_changed = [](const ExperimentOutcome& out) {
+    for (const auto& [k, v] : out.entry_metrics)
+      if (k == "edges_changed") return v.as_u64();
+    ADD_FAILURE() << "edges_changed not published";
+    return std::uint64_t{0};
+  };
+
+  const ExperimentOutcome dflt = run("");
+  // 0 means "derive" (2*diameter = 16), as the schema documents.
+  for (const std::string extra : {"stream_tau=0", "stream_tau=16"}) {
+    const ExperimentOutcome out = run(extra);
+    ASSERT_EQ(out.entry_metrics.size(), dflt.entry_metrics.size()) << extra;
+    for (std::size_t i = 0; i < out.entry_metrics.size(); ++i) {
+      EXPECT_EQ(out.entry_metrics[i].first, dflt.entry_metrics[i].first);
+      EXPECT_EQ(out.entry_metrics[i].second.as_number(),
+                dflt.entry_metrics[i].second.as_number())
+          << extra << " " << out.entry_metrics[i].first;
+    }
+    EXPECT_EQ(out.error.max_error, dflt.error.max_error) << extra;
+    EXPECT_EQ(out.error.mean_error, dflt.error.mean_error) << extra;
+    EXPECT_EQ(out.total_probes, dflt.total_probes) << extra;
+  }
+  // The comparison is sensitive: a real override changes the stream.
+  EXPECT_NE(edges_changed(run("stream_tau=3")), edges_changed(dflt));
+}
+
+TEST(Stream, ChurnRejectsOutOfRangeKnobsByName) {
+  const std::string base = "workload=churn n=64 budget=4 diameter=8 opt=0 ";
+  const std::pair<const char*, const char*> bad[] = {
+      {"flip_bits", "100000"}, {"flip_bits", "65"},   {"flip_rate", "nan"},
+      {"flip_rate", "-0.5"},   {"flip_rate", "1.01"}, {"arrive", "-1"},
+      {"depart", "1.5"},       {"depart", "inf"},
+  };
+  for (const auto& [key, value] : bad) {
+    const std::string kv = std::string(key) + "=" + value;
+    const Scenario sc = Scenario::resolve(ScenarioSpec::parse(base + kv));
+    try {
+      (void)build_scenario_world(sc, ExecPolicy::serial());
+      ADD_FAILURE() << kv << ": expected ScenarioError";
+    } catch (const ScenarioError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("'" + kv + "'"), std::string::npos) << msg;
+    }
+  }
+  // The bounds themselves are valid.
+  for (const char* kv : {"flip_bits=64", "flip_rate=1", "arrive=0", "depart=1"})
+    EXPECT_NO_THROW((void)build_scenario_world(
+        Scenario::resolve(ScenarioSpec::parse(base + "epochs=2 " + kv)),
+        ExecPolicy::serial()))
+        << kv;
+
+  // The graph backend is not a workload knob: churn always auto-resolves.
+  EXPECT_THROW(
+      Scenario::resolve(ScenarioSpec::parse(base + "stream_backend=csr")),
+      ScenarioError);
 }
 
 /// Fixed-seed golden: the exact final state of one pinned churn script. Any
