@@ -21,6 +21,7 @@
 namespace colscore {
 
 class ProbeMemo;
+class WideProbeMemo;
 
 class ProbeOracle {
  public:
@@ -86,18 +87,14 @@ class ProbeOracle {
   /// Resets all counters (between experiment repetitions).
   void reset_counts();
 
-  /// Execution hint: when the caller knows no two threads will ever charge
-  /// concurrently (the worker pool is single-threaded, so every protocol
-  /// loop runs inline), counters may use plain read-modify-writes instead
-  /// of lock-prefixed atomic RMWs — a measurable win at tens of millions
-  /// of charges per suite. Leave off in any multi-threaded setting: exact
-  /// counting under concurrent probes is part of the oracle contract.
-  void set_serial_charging(bool on) { serial_charges_ = on; }
-
   /// Binds the execution policy this oracle's probes run under: derives the
-  /// serial-charging hint from it (worker_count() <= 1 means every protocol
-  /// loop runs inline). run_scenario binds its per-scenario policy right
-  /// after construction.
+  /// serial-charging hint from it. When no two threads will ever charge
+  /// concurrently (worker_count() <= 1: every protocol loop runs inline),
+  /// counters use plain read-modify-writes instead of lock-prefixed atomic
+  /// RMWs -- a measurable win at tens of millions of charges per suite;
+  /// otherwise exact counting under concurrent probes is part of the oracle
+  /// contract. run_scenario binds its per-scenario policy right after
+  /// construction.
   void bind_policy(const ExecPolicy& policy) {
     serial_charges_ = policy.worker_count() <= 1;
   }
@@ -107,6 +104,7 @@ class ProbeOracle {
 
  private:
   friend class ProbeMemo;
+  friend class WideProbeMemo;
 
   /// Adds `amount` probes to p's counter (single round-trip) and enforces
   /// the kHard budget.
@@ -210,6 +208,75 @@ class ProbeMemo {
   std::uint64_t universe_ = 0;
   std::uint64_t value_ = 0;
   std::uint64_t seen_ = 0;
+};
+
+/// The same memo over a universe of any size (coordinate c is objects[c]),
+/// for the general Select tournament and ZeroRadius adoption. Its seen and
+/// value planes live in `planes`, the caller's workspace words, so a memo
+/// costs no allocation once the buffer has grown. Truth is read lazily --
+/// one uncharged bit the first time a coordinate is looked at -- because
+/// most wide plays look at a handful of coordinates of a large universe.
+/// The bill is ProbeMemo's: the distinct coordinates read, charged once when
+/// the memo goes out of scope, to honest players only. (The two destructors
+/// spell that rule alike rather than share a helper: every shared spelling
+/// tried changed play_small's generated code, the hottest loop in a suite.)
+class WideProbeMemo {
+ public:
+  WideProbeMemo(ProbeOracle& oracle, PlayerId p, std::span<const ObjectId> objects,
+                bool charged, std::vector<std::uint64_t>& planes)
+      : oracle_(oracle), p_(p), charged_(charged), objects_(objects),
+        words_(bitkernel::word_count(objects.size())) {
+    CS_ASSERT(p < oracle.counts_.size(), "probe memo: bad player id");
+    planes.assign(2 * words_, 0);
+    seen_ = planes.data();
+    value_ = seen_ + words_;
+  }
+  ~WideProbeMemo() {
+    if (charged_ && seen_count_ != 0) oracle_.charge(p_, seen_count_);
+  }
+  WideProbeMemo(const WideProbeMemo&) = delete;
+  WideProbeMemo& operator=(const WideProbeMemo&) = delete;
+
+  /// v(p) on coordinate c; marks it seen.
+  bool read(std::size_t c) {
+    CS_ASSERT(c < objects_.size(), "probe memo: read outside the universe");
+    const std::size_t w = c / bitkernel::kWordBits;
+    const std::uint64_t bit = 1ULL << (c % bitkernel::kWordBits);
+    if ((seen_[w] & bit) == 0) {
+      seen_[w] |= bit;
+      ++seen_count_;
+      if (oracle_.read_bit(p_, objects_[c])) value_[w] |= bit;
+    }
+    return (value_[w] & bit) != 0;
+  }
+
+  /// Whether coordinate c has been read (reveals no bit).
+  bool seen(std::size_t c) const {
+    CS_ASSERT(c < objects_.size(), "probe memo: coordinate outside the universe");
+    return (seen_[c / bitkernel::kWordBits] >> (c % bitkernel::kWordBits)) & 1ULL;
+  }
+
+  /// Overwrites `out` (one bit per coordinate) with v(p) on every
+  /// coordinate read so far, a word at a time; other bits are kept.
+  void patch(BitRow out) const {
+    CS_ASSERT(out.size() == objects_.size(), "probe memo: patch size mismatch");
+    std::uint64_t* dst = out.word_data();
+    for (std::size_t w = 0; w < words_; ++w)
+      dst[w] = (dst[w] & ~seen_[w]) | value_[w];
+  }
+
+  /// Distinct coordinates read so far: the bill an honest player pays.
+  std::size_t seen_count() const noexcept { return seen_count_; }
+
+ private:
+  ProbeOracle& oracle_;
+  PlayerId p_;
+  bool charged_;
+  std::span<const ObjectId> objects_;
+  std::size_t words_;
+  std::uint64_t* seen_ = nullptr;
+  std::uint64_t* value_ = nullptr;  // bits set only on seen coordinates
+  std::size_t seen_count_ = 0;
 };
 
 }  // namespace colscore

@@ -34,8 +34,8 @@ inline constexpr std::size_t word_count(std::size_t bits) noexcept {
 
 /// Mask keeping the low `nbits` (1 <= nbits < 64) bits of a word. The single
 /// source of truth for the padding-bits-are-zero invariant: every path that
-/// writes a partial final word (scalar and SIMD extract_bits, hamming_prefix,
-/// the containers' fill/randomize) masks through this.
+/// writes a partial final word (scalar and SIMD extract_bits, the
+/// containers' fill/randomize) masks through this.
 inline constexpr std::uint64_t low_mask(std::size_t nbits) noexcept {
   return (1ULL << nbits) - 1;
 }
@@ -201,17 +201,6 @@ inline void extract_bits(const std::uint64_t* src, std::size_t src_words,
   if (word_count(n) < simd::kDispatchMinWords)
     return scalar::extract_bits(src, src_words, first, n, out);
   simd::active().extract_bits(src, src_words, first, n, out);
-}
-
-inline std::size_t hamming_prefix(const std::uint64_t* a, const std::uint64_t* b,
-                                  std::size_t prefix_bits) noexcept {
-  const std::size_t full = prefix_bits / kWordBits;
-  std::size_t total = hamming(a, b, full);
-  const std::size_t rem = prefix_bits % kWordBits;
-  if (rem != 0)
-    total += static_cast<std::size_t>(
-        std::popcount((a[full] ^ b[full]) & low_mask(rem)));
-  return total;
 }
 
 /// Appends the positions where a and b differ (ascending) to `out`. The

@@ -213,11 +213,6 @@ bool BitVector::hamming_exceeds(ConstBitRow other, std::size_t threshold) const 
   return ConstBitRow(*this).hamming_exceeds(other, threshold);
 }
 
-std::size_t BitVector::hamming_prefix(ConstBitRow other,
-                                      std::size_t prefix_bits) const noexcept {
-  return ConstBitRow(*this).hamming_prefix(other, prefix_bits);
-}
-
 std::vector<std::size_t> BitVector::diff_positions(ConstBitRow other) const {
   return ConstBitRow(*this).diff_positions(other);
 }
@@ -233,14 +228,6 @@ BitVector BitVector::gather(std::span<const std::size_t> positions) const {
 
 BitVector BitVector::gather(std::span<const ObjectId> positions) const {
   return ConstBitRow(*this).gather(positions);
-}
-
-void BitVector::scatter(std::span<const std::size_t> positions, ConstBitRow patch) {
-  CS_ASSERT(positions.size() == patch.size(), "scatter: size mismatch");
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    CS_ASSERT(positions[i] < size_, "scatter: position out of range");
-    set(positions[i], patch.get(i));
-  }
 }
 
 void BitVector::fill(bool value) noexcept {

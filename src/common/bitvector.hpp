@@ -53,8 +53,6 @@ class ConstBitRow {
   /// as the running distance crosses the threshold.
   bool hamming_exceeds(ConstBitRow other, std::size_t threshold) const noexcept;
 
-  std::size_t hamming_prefix(ConstBitRow other, std::size_t prefix_bits) const noexcept;
-
   /// Positions where `this` and `other` differ, ascending.
   std::vector<std::size_t> diff_positions(ConstBitRow other) const;
   /// Appends differing positions to `out` (caller-owned scratch buffer).
@@ -170,9 +168,6 @@ class BitVector {
   /// True iff hamming(*this, other) > threshold (early-exit scan).
   bool hamming_exceeds(ConstBitRow other, std::size_t threshold) const noexcept;
 
-  /// Hamming distance restricted to the first `prefix_bits` positions.
-  std::size_t hamming_prefix(ConstBitRow other, std::size_t prefix_bits) const noexcept;
-
   /// Positions where `this` and `other` differ, ascending.
   std::vector<std::size_t> diff_positions(ConstBitRow other) const;
   /// Appends differing positions to `out` (caller-owned scratch buffer).
@@ -181,9 +176,6 @@ class BitVector {
   /// New vector containing bits at `positions` (in the given order).
   BitVector gather(std::span<const std::size_t> positions) const;
   BitVector gather(std::span<const ObjectId> positions) const;
-
-  /// Writes bits of `patch` into positions `positions[i]` of this vector.
-  void scatter(std::span<const std::size_t> positions, ConstBitRow patch);
 
   void fill(bool value) noexcept;
   /// Independently randomize every bit with P(bit=1) = density.
@@ -254,12 +246,6 @@ inline bool ConstBitRow::hamming_exceeds(ConstBitRow other,
   CS_ASSERT(bits_ == other.bits_, "hamming_exceeds: size mismatch");
   return bitkernel::hamming_exceeds(words_, other.words_,
                                     bitkernel::word_count(bits_), threshold);
-}
-
-inline std::size_t ConstBitRow::hamming_prefix(ConstBitRow other,
-                                               std::size_t prefix_bits) const noexcept {
-  CS_ASSERT(prefix_bits <= bits_ && prefix_bits <= other.bits_, "hamming_prefix: oob");
-  return bitkernel::hamming_prefix(words_, other.words_, prefix_bits);
 }
 
 inline void ConstBitRow::diff_positions_into(ConstBitRow other,

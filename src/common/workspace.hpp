@@ -18,7 +18,10 @@
 //   * Buffers are grouped by owner (sel_* for the Select tournament, pf_*
 //     for the prefilter, zr_* for ZeroRadius adoption, vt_* for work-share
 //     voting, ze_* for ZeroRadius reassembly, nb_* for the CSR
-//     neighbor-graph build).
+//     neighbor-graph build). The sel_ and zr_ groups each hold one
+//     WideProbeMemo's planes: the owner hands the buffer to
+//     ProtocolEnv::own_probe_memo, and the memo lives no longer than the
+//     owner's frame.
 //     A function may only touch its own group, because nested frames on one
 //     thread are live simultaneously: select_prefiltered (pf_*) is still
 //     using its finalist list while the inner tournament (sel_*) runs, and
@@ -42,16 +45,11 @@ struct RunWorkspace {
   static RunWorkspace& current();
 
   // ---- Select tournament (select.cpp play_general) -------------------------
-  std::vector<std::uint64_t> sel_probed_words;  // probed? plane
-  std::vector<std::uint64_t> sel_value_words;   // own-bit plane
-  std::vector<std::uint64_t> sel_batch_words;   // batched probe results
+  std::vector<std::uint64_t> sel_memo_words;  // WideProbeMemo seen/value planes
   std::vector<std::uint8_t> sel_alive;
   std::vector<std::size_t> sel_wins;
   std::vector<std::uint64_t> sel_hashes;
   std::vector<std::size_t> sel_diff;
-  std::vector<std::size_t> sel_coords;        // the t drawn coords of a pair
-  std::vector<std::size_t> sel_batch_coords;  // first-occurrence uncached ones
-  std::vector<ObjectId> sel_batch_objects;
 
   // ---- Select prefilter (select.cpp select_prefiltered) --------------------
   std::vector<std::uint64_t> pf_own_words;
@@ -62,13 +60,7 @@ struct RunWorkspace {
   std::vector<std::size_t> pf_finalist_ids;
 
   // ---- ZeroRadius adoption (zero_radius.cpp adopt) -------------------------
-  std::vector<std::uint64_t> zr_probed_words;
-  std::vector<std::uint64_t> zr_value_words;
-  std::vector<std::uint64_t> zr_batch_words;
-  std::vector<std::size_t> zr_coords;  // coords actually probed (patch list)
-  std::vector<std::size_t> zr_verify_coords;
-  std::vector<std::size_t> zr_batch_coords;
-  std::vector<ObjectId> zr_batch_objects;
+  std::vector<std::uint64_t> zr_memo_words;  // WideProbeMemo seen/value planes
   std::vector<std::size_t> zr_alive;
   std::vector<std::size_t> zr_next;
   std::vector<std::size_t> zr_diff;

@@ -59,11 +59,10 @@ struct ProtocolEnv {
 
   /// Learn an arbitrary object slate into a BitRow: bit i = v(p)_objects[i].
   /// Contiguous ascending slates of more than 64 objects take the word path
-  /// (probe_row); every other slate (the wide Select tournament's per-pair
-  /// batches, a forced Select's one coordinate, single probes of
-  /// elimination loops) is one gather, inline off a packed truth row.
-  /// Charges are identical to probing the slate object by object with no
-  /// memo (duplicates pay).
+  /// (probe_row); every other slate (a forced Select's one coordinate, the
+  /// prefilter's draws, a voting slate) is one gather, inline off a packed
+  /// truth row. Charges are identical to probing the slate object by object
+  /// with no memo (duplicates pay).
   void own_probe_bits(PlayerId p, std::span<const ObjectId> objects, BitRow out) {
     if (objects.size() > bitkernel::kWordBits) {
       bool contiguous = true;
@@ -85,6 +84,13 @@ struct ProtocolEnv {
   /// players only (see ProbeMemo).
   ProbeMemo own_probe_memo(PlayerId p, std::span<const ObjectId> objects) {
     return ProbeMemo(oracle, p, objects, population.is_honest(p));
+  }
+
+  /// The same memo over a universe of any size, its planes kept in the
+  /// caller's workspace words `planes` (see WideProbeMemo).
+  WideProbeMemo own_probe_memo(PlayerId p, std::span<const ObjectId> objects,
+                               std::vector<std::uint64_t>& planes) {
+    return WideProbeMemo(oracle, p, objects, population.is_honest(p), planes);
   }
 
   /// The executing worker's reusable scratch, owned by the policy's arena

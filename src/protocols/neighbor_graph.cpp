@@ -301,13 +301,14 @@ GraphDelta NeighborGraph::apply_updates(std::span<const RowUpdate> updates,
   std::sort(scratch_.csr_dels.begin(), scratch_.csr_dels.end());
   std::vector<std::uint32_t>& offsets = scratch_.csr_offsets;
   std::vector<std::uint32_t>& adj = scratch_.csr_adj;
+  std::size_t total = 0;
+  for (std::size_t p = 0; p < n_; ++p) total += degrees_[p];
+  CS_ASSERT(total <= static_cast<std::size_t>(UINT32_MAX),
+            "csr: adjacency exceeds uint32 index space");
   offsets.assign(n_ + 1, 0);
   for (std::size_t p = 0; p < n_; ++p)
     offsets[p + 1] = offsets[p] + degrees_[p];
-  CS_ASSERT(static_cast<std::size_t>(offsets[n_]) <=
-                static_cast<std::size_t>(UINT32_MAX),
-            "csr: adjacency exceeds uint32 index space");
-  adj.resize(offsets[n_]);
+  adj.resize(total);
   std::size_t ai = 0;  // cursor into csr_adds
   std::size_t di = 0;  // cursor into csr_dels
   for (std::size_t p = 0; p < n_; ++p) {

@@ -46,8 +46,8 @@ SelectPlan::SelectPlan(std::span<const ConstBitRow> candidates,
 /// never on probe results, so a pair's t coordinates are all drawn before
 /// any probe. Players remember their own probe results within a tournament,
 /// so each distinct coordinate is charged once: small plays read through a
-/// ProbeMemo and pay when the play ends; the general play charges each
-/// pair's first-seen coordinates as one own_probe_bits batch.
+/// ProbeMemo, general plays through a WideProbeMemo, and both pay when the
+/// play ends.
 ///
 /// A pair that differs in exactly one coordinate is forced: below(1) == 0
 /// under every stream, so all its draws are that coordinate and neither the
@@ -177,24 +177,19 @@ SelectOutcome SelectTournament::play_small(PlayerId p, const SelectPlan& plan,
 
 /// Scratch discipline: all buffers live in the per-thread RunWorkspace
 /// (sel_* group) — the tournament runs millions of times per suite, so
-/// per-call allocations were the dominant cost at scale. The per-coordinate
-/// probe memo is a two-plane bit cache (probed?/value).
+/// per-call allocations were the dominant cost at scale. The play reads its
+/// own bits through a WideProbeMemo whose planes are sel_memo_words.
 SelectOutcome SelectTournament::play_general(PlayerId p, const SelectPlan& plan,
                                              ProtocolEnv& env, SelectKey& key,
                                              std::size_t probes_per_pair,
                                              std::size_t skip_below,
                                              bool deterministic) {
   const std::span<const ConstBitRow> candidates = plan.candidates_;
-  const std::span<const ObjectId> objects = plan.objects_;
   const std::size_t k = candidates.size();
   SelectOutcome out;
 
   RunWorkspace& ws = env.workspace();
-  const std::size_t words = bitkernel::word_count(objects.size());
-  ws.sel_probed_words.assign(words, 0);
-  ws.sel_value_words.assign(words, 0);
-  BitRow probed(ws.sel_probed_words.data(), objects.size());
-  BitRow value(ws.sel_value_words.data(), objects.size());
+  WideProbeMemo memo = env.own_probe_memo(p, plan.objects_, ws.sel_memo_words);
   ws.sel_alive.assign(k, 1);
   ws.sel_wins.assign(k, 0);
   auto& alive = ws.sel_alive;
@@ -207,9 +202,6 @@ SelectOutcome SelectTournament::play_general(PlayerId p, const SelectPlan& plan,
     for (std::size_t i = 0; i < k; ++i) hashes[i] = candidates[i].content_hash();
   }
   auto& diff = ws.sel_diff;
-  auto& coords = ws.sel_coords;
-  auto& batch_coords = ws.sel_batch_coords;
-  auto& batch_objects = ws.sel_batch_objects;
 
   for (std::size_t i = 0; i < k; ++i) {
     if (!alive[i]) continue;
@@ -224,39 +216,23 @@ SelectOutcome SelectTournament::play_general(PlayerId p, const SelectPlan& plan,
       candidates[i].diff_positions_into(candidates[j], diff);
 
       const std::size_t t = std::min(probes_per_pair, diff.size());
-      coords.resize(t);
+      std::size_t agree_i = 0;
       if (diff.size() == 1) {
-        std::fill(coords.begin(), coords.end(), diff[0]);
+        // Every draw is the one coordinate: all t agree with i, or none.
+        if (t != 0 && memo.read(diff[0]) == candidates[i].get(diff[0])) agree_i = t;
       } else {
         Rng stream = pair_stream(p, env, key, deterministic ? hashes.data() : nullptr, i, j);
-        for (std::size_t s = 0; s < t; ++s) coords[s] = diff[stream.below(diff.size())];
-      }
-      batch_coords.clear();
-      batch_objects.clear();
-      for (const std::size_t coord : coords) {
-        if (!probed.get(coord)) {
-          probed.set(coord, true);
-          batch_coords.push_back(coord);
-          batch_objects.push_back(objects[coord]);
+        for (std::size_t s = 0; s < t; ++s) {
+          const std::size_t coord = diff[stream.below(diff.size())];
+          if (memo.read(coord) == candidates[i].get(coord)) ++agree_i;
         }
       }
-      if (!batch_coords.empty()) {
-        ws.sel_batch_words.assign(bitkernel::word_count(batch_coords.size()), 0);
-        BitRow got(ws.sel_batch_words.data(), batch_coords.size());
-        env.own_probe_bits(p, batch_objects, got);
-        out.probes += batch_coords.size();
-        for (std::size_t b = 0; b < batch_coords.size(); ++b)
-          value.set(batch_coords[b], got.get(b));
-      }
-
-      std::size_t agree_i = 0;
-      for (const std::size_t coord : coords)
-        if (value.get(coord) == candidates[i].get(coord)) ++agree_i;
       ++out.pairs_probed;
       eliminate(i, j, t, agree_i, alive, wins);
     }
   }
   out.chosen = winner(k, alive, wins);
+  out.probes = memo.seen_count();
   return out;
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/common/assert.hpp"
+#include "src/common/mathutil.hpp"
 #include "src/common/workspace.hpp"
 
 namespace colscore {
@@ -18,11 +19,10 @@ void ZeroRadiusStats::merge(const ZeroRadiusStats& other) {
 
 namespace {
 
-std::size_t log2_ceil(std::size_t n) {
-  std::size_t l = 0;
-  while ((1ULL << l) < n) ++l;
-  return std::max<std::size_t>(l, 1);
-}
+/// Support threshold for adopted vectors: max(2, |P''| / (kSupportDivisor *
+/// budget)). The floor of 2 keeps small honest clusters eligible at deep
+/// recursion levels while still dropping liars' singleton garbage.
+constexpr double kSupportDivisor = 2.0;
 
 struct Ctx {
   const ZeroRadiusParams& params;
@@ -51,46 +51,29 @@ void shared_partition(std::span<const T> items, Rng& shared, std::vector<T>& lef
 }
 
 /// One player adopts a vector over `objects` from the published candidates.
-/// `verify_key` seeds the deterministic verification coordinates.
-///
-/// The per-coordinate probe memo is a two-plane bit cache plus a probed-coord
-/// list (zr_* workspace group) — this runs once per learner per merge, and
-/// the hash map it replaced was the hottest allocation in whole-suite sweeps.
+/// `verify_key` seeds the deterministic verification coordinates. Every look
+/// at the player's own bits goes through one WideProbeMemo (planes in
+/// zr_memo_words): a coordinate is charged once however often it is read,
+/// and the whole bill lands when adoption returns.
 BitVector adopt(PlayerId p, std::span<const ObjectId> objects,
                 const std::vector<BulletinBoard::SupportedVector>& candidates,
                 Ctx& ctx, std::uint64_t verify_key, ZeroRadiusStats& stats) {
+  RunWorkspace& ws = ctx.env.workspace();
+  WideProbeMemo memo = ctx.env.own_probe_memo(p, objects, ws.zr_memo_words);
   if (candidates.empty()) {
-    // Nothing published at all (degenerate); probe everything we can afford
-    // (one batched charge — the whole slate is known up front).
+    // Nothing published at all (degenerate); probe everything we can afford.
     ++stats.fallbacks;
     BitVector own(objects.size());
     const std::size_t limit = std::min(objects.size(), ctx.elim_cap);
-    if (limit == objects.size()) {
-      ctx.env.own_probe_bits(p, objects, own);
-    } else if (limit != 0) {
-      RunWorkspace& ws = ctx.env.workspace();
-      ws.zr_batch_words.assign(bitkernel::word_count(limit), 0);
-      BitRow got(ws.zr_batch_words.data(), limit);
-      ctx.env.own_probe_bits(p, objects.subspan(0, limit), got);
-      for (std::size_t i = 0; i < limit; ++i) own.set(i, got.get(i));
-    }
+    for (std::size_t c = 0; c < limit; ++c) memo.read(c);
+    memo.patch(own);
     return own;
   }
-
-  RunWorkspace& ws = ctx.env.workspace();
-  const std::size_t words = bitkernel::word_count(objects.size());
-  ws.zr_probed_words.assign(words, 0);
-  ws.zr_value_words.assign(words, 0);
-  BitRow probed(ws.zr_probed_words.data(), objects.size());
-  BitRow pvalue(ws.zr_value_words.data(), objects.size());
-  auto& probed_coords = ws.zr_coords;  // coord -> own truth lives in the planes
-  probed_coords.clear();
 
   auto& alive = ws.zr_alive;
   alive.resize(candidates.size());
   for (std::size_t i = 0; i < alive.size(); ++i) alive[i] = i;
 
-  std::size_t probes_used = 0;
   bool fell_back = false;
   auto& diff = ws.zr_diff;  // reused across elimination rounds
 
@@ -103,25 +86,15 @@ BitVector adopt(PlayerId p, std::span<const ObjectId> objects,
       alive.erase(alive.begin() + 1);
       continue;
     }
-    if (probes_used >= ctx.elim_cap) {
+    // Every coordinate read so far was read by this loop.
+    if (memo.seen_count() >= ctx.elim_cap) {
       fell_back = true;
       break;
     }
-    // Elimination is inherently adaptive — each coordinate choice depends on
-    // the previous answer — so this stays a per-coordinate probe.
+    // Elimination is adaptive -- each coordinate is picked from the
+    // survivors of the previous answer -- so it reads one bit at a time.
     const std::size_t coord = diff.front();
-    bool bit;
-    if (probed.get(coord)) {
-      bit = pvalue.get(coord);
-    } else {
-      // colscore-lint: allow(CL003) adaptive: the eliminating coordinate is
-      // picked from the survivor set of the previous answer
-      bit = ctx.env.own_probe(p, objects[coord]);
-      ++probes_used;
-      probed.set(coord, true);
-      pvalue.set(coord, bit);
-      probed_coords.push_back(coord);
-    }
+    const bool bit = memo.read(coord);
     auto& next = ws.zr_next;
     next.clear();
     for (std::size_t idx : alive)
@@ -144,38 +117,16 @@ BitVector adopt(PlayerId p, std::span<const ObjectId> objects,
   // The coordinates are SHARED across learners (derived from the channel, not
   // the player): identical twins must patch identical coordinates, otherwise
   // their published vectors fragment and upstream support voting collapses.
-  // The draw stream never depends on probe results, so the whole slate is
-  // drawn first and the not-yet-probed coordinates charge in one batch.
+  // A repair is a newly read coordinate where the survivor is wrong.
   Rng verify(mix_keys(verify_key, 0x7e81f1ULL));
-  auto& verify_coords = ws.zr_verify_coords;
-  auto& batch_coords = ws.zr_batch_coords;
-  auto& batch_objects = ws.zr_batch_objects;
-  verify_coords.clear();
-  batch_coords.clear();
-  batch_objects.clear();
-  for (std::size_t s = 0; s < ctx.verify_probes && s < objects.size(); ++s)
-    verify_coords.push_back(verify.below(objects.size()));
-  for (std::size_t coord : verify_coords) {
-    if (probed.get(coord)) continue;
-    probed.set(coord, true);  // also dedups repeats inside this batch
-    batch_coords.push_back(coord);
-    batch_objects.push_back(objects[coord]);
-  }
-  if (!batch_coords.empty()) {
-    ws.zr_batch_words.assign(bitkernel::word_count(batch_coords.size()), 0);
-    BitRow got(ws.zr_batch_words.data(), batch_coords.size());
-    ctx.env.own_probe_bits(p, batch_objects, got);
-    for (std::size_t b = 0; b < batch_coords.size(); ++b) {
-      const std::size_t coord = batch_coords[b];
-      const bool bit = got.get(b);
-      pvalue.set(coord, bit);
-      probed_coords.push_back(coord);
-      if (result.get(coord) != bit) ++stats.repairs;
-    }
+  for (std::size_t s = 0; s < ctx.verify_probes && s < objects.size(); ++s) {
+    const std::size_t coord = verify.below(objects.size());
+    if (memo.seen(coord)) continue;
+    if (memo.read(coord) != result.get(coord)) ++stats.repairs;
   }
 
   // Patch in everything this player actually observed.
-  for (std::size_t coord : probed_coords) result.set(coord, pvalue.get(coord));
+  memo.patch(result);
   return result;
 }
 
@@ -210,7 +161,7 @@ void cross_adopt(std::span<const PlayerId> learners,
   auto supported = ctx.env.board.vectors_by_support(channel);
   const auto threshold = static_cast<std::size_t>(
       std::max(2.0, std::floor(static_cast<double>(publishers.size()) /
-                               (ctx.params.support_divisor *
+                               (kSupportDivisor *
                                 static_cast<double>(ctx.params.budget)))));
   std::vector<BulletinBoard::SupportedVector> filtered;
   for (auto& sv : supported)
@@ -318,9 +269,7 @@ ZeroRadiusResult zero_radius(std::span<const PlayerId> players,
           /*base_threshold=*/static_cast<std::size_t>(
               params.base_factor * static_cast<double>(params.budget) *
               static_cast<double>(log2_ceil(n_total))),
-          /*elim_cap=*/params.elim_cap != 0
-              ? params.elim_cap
-              : 4 * params.budget * log2_ceil(n_total) + 4,
+          /*elim_cap=*/4 * params.budget * log2_ceil(n_total) + 4,
           /*verify_probes=*/params.verify_probes != 0 ? params.verify_probes
                                                       : 2 * log2_ceil(n_total)};
   return solve(players, objects, ctx, phase_key, 0);

@@ -6,11 +6,12 @@
 // outputs by support voting plus an elimination-probing loop.
 //
 // Deviations from the paper's pseudocode:
-//   * The elimination loop is capped (`elim_cap` probes); on cap overflow or
-//     full elimination the player falls back to the highest-support
-//     candidate patched with its own probed bits. The precondition only
-//     holds approximately when SmallRadius invokes us on noisy sub-universes,
-//     and the caller's Select step absorbs the O(D) residual.
+//   * The elimination loop is capped (4 * B' * log2(n_total) + 4 probes per
+//     player per merge step); on cap overflow or full elimination the
+//     player falls back to the highest-support candidate patched with its
+//     own probed bits. The precondition only holds approximately when
+//     SmallRadius invokes us on noisy sub-universes, and the caller's
+//     Select step absorbs the O(D) residual.
 //   * Degenerate random partitions are re-drawn (bounded retries): a
 //     halving with an empty side would recurse on the same universe.
 #pragma once
@@ -33,14 +34,6 @@ struct ZeroRadiusParams {
   /// loses whole clusters with constant probability (the paper's Θ(·) hides
   /// exactly this constant).
   double base_factor = 4.0;
-  /// Support threshold for adopted vectors:
-  /// max(2, |P''| / (support_divisor * budget)). The floor of 2 keeps small
-  /// honest clusters eligible at deep recursion levels while still dropping
-  /// liars' singleton garbage.
-  double support_divisor = 2.0;
-  /// Max elimination probes per player per merge step; 0 derives
-  /// 4 * budget * log2(n_total) + 4.
-  std::size_t elim_cap = 0;
   /// After adopting a vector, the player verifies this many uniformly chosen
   /// coordinates and patches mismatches (0 derives 2 * log2(n_total)).
   /// Repairs the rare deep-recursion case where a cluster lost all its

@@ -112,8 +112,7 @@ void RecordStream::finish() {
 
 // ---- CsvSink ----------------------------------------------------------------
 
-CsvSink::CsvSink(const SinkConfig& config)
-    : batch_rows_(config.batch_rows == 0 ? 1 : config.batch_rows) {
+CsvSink::CsvSink(const SinkConfig& config) {
   suppress_header_ = config.append && config.stream == nullptr &&
                      !config.path.empty() && file_has_content(config.path);
   out_ = open_text_destination("csv", config, file_, tmp_path_, final_path_);
@@ -128,7 +127,7 @@ void CsvSink::write(const RunRecord& record) {
   CS_ASSERT(writer_.has_value(), "sink: write() before begin()");
   writer_->row(record.cells());
   ++rows_;
-  if (rows_ % batch_rows_ == 0) out_->flush();  // durability cadence
+  out_->flush();  // every row is a durability point
 }
 
 void CsvSink::finish() {
@@ -138,8 +137,7 @@ void CsvSink::finish() {
 
 // ---- JsonlSink --------------------------------------------------------------
 
-JsonlSink::JsonlSink(const SinkConfig& config)
-    : batch_rows_(config.batch_rows == 0 ? 1 : config.batch_rows) {
+JsonlSink::JsonlSink(const SinkConfig& config) {
   out_ = open_text_destination("jsonl", config, file_, tmp_path_, final_path_);
 }
 
@@ -187,7 +185,7 @@ void JsonlSink::write(const RunRecord& record) {
   line += "}\n";
   *out_ << line;
   ++rows_;
-  if (rows_ % batch_rows_ == 0) out_->flush();  // durability cadence
+  out_->flush();  // every row is a durability point
 }
 
 void JsonlSink::finish() {
@@ -200,6 +198,9 @@ void JsonlSink::finish() {
 #if defined(COLSCORE_HAVE_SQLITE)
 
 namespace {
+
+/// Rows per insert transaction: each commit is a durability point.
+constexpr std::size_t kCommitRows = 64;
 
 [[noreturn]] void sqlite_fail(sqlite3* db, const std::string& what) {
   std::string msg = "sink 'sqlite': " + what;
@@ -230,9 +231,7 @@ const char* sqlite_affinity(MetricType type) {
   return "TEXT";
 }
 
-SqliteSink::SqliteSink(const SinkConfig& config)
-    : append_(config.append),
-      batch_rows_(config.batch_rows == 0 ? 64 : config.batch_rows) {
+SqliteSink::SqliteSink(const SinkConfig& config) : append_(config.append) {
   if (config.stream != nullptr || config.path.empty())
     throw ScenarioError(
         "sink 'sqlite' writes a database file; pass an output path (--out "
@@ -318,7 +317,7 @@ void SqliteSink::begin(const MetricSchema& schema) {
   }
   // Batched transactions: per-row commits would fsync every run and
   // dominate large sweeps, while one suite-wide transaction would leave
-  // nothing durable after a crash. Every batch_rows_ rows, write() commits
+  // nothing durable after a crash. Every kCommitRows rows, write() commits
   // and reopens (a durability point for --resume).
   exec("BEGIN TRANSACTION");
   in_transaction_ = true;
@@ -405,7 +404,7 @@ void SqliteSink::write(const RunRecord& record) {
     sqlite_fail(db_, "cannot insert row");
   sqlite3_reset(insert_);
   ++rows_;
-  if (rows_ % batch_rows_ == 0) {  // durability point
+  if (rows_ % kCommitRows == 0) {  // durability point
     exec("COMMIT");
     exec("BEGIN TRANSACTION");
   }

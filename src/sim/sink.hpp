@@ -49,9 +49,9 @@ namespace colscore {
 ///  - A file sink in fresh mode writes to `PATH.tmp` and atomically renames
 ///    it to PATH in finish(). PATH therefore only ever holds a *complete*
 ///    artifact; a crashed or aborted suite leaves PATH.tmp behind instead.
-///  - Rows become durable on a batch cadence (SinkConfig::batch_rows): text
-///    sinks flush the stream every batch (default: every row), sqlite
-///    commits a transaction every batch (default: 64 rows). After a crash,
+///  - Rows become durable on a fixed cadence: text sinks flush the stream
+///    after every row, sqlite commits a transaction every 64 rows. After a
+///    crash,
 ///    PATH.tmp holds every row durable at the last cadence point — in run
 ///    order with no gaps — and `--resume` accepts PATH or PATH.tmp.
 ///  - finish() is the explicit success path; call it to observe errors.
@@ -85,9 +85,6 @@ struct SinkConfig {
   /// sqlite keeps (and validates) an existing `runs` table. Ignored for
   /// stream/stdout destinations.
   bool append = false;
-  /// Rows per durability batch (see the ResultSink contract). 0 picks the
-  /// sink's default: 1 for text sinks, 64 for sqlite.
-  std::size_t batch_rows = 0;
 };
 
 // ---- selection + summary ----------------------------------------------------
@@ -147,7 +144,6 @@ class CsvSink : public ResultSink {
   std::string tmp_path_;    // rename tmp_path_ -> final_path_ in finish()
   std::string final_path_;  // empty: stream/stdout/append, nothing to rename
   bool suppress_header_ = false;  // appending to a file that already has one
-  std::size_t batch_rows_ = 1;
   std::optional<CsvWriter> writer_;
 };
 
@@ -169,7 +165,6 @@ class JsonlSink : public ResultSink {
   std::ostream* out_;
   std::string tmp_path_;
   std::string final_path_;
-  std::size_t batch_rows_ = 1;
   MetricSchema schema_;
 };
 
@@ -193,8 +188,7 @@ const char* sqlite_affinity(MetricType type);
 /// keeps an existing `runs` table — after validating that its columns match
 /// the suite schema exactly (a mismatch throws a ScenarioError naming the
 /// first divergence rather than failing on insert). Inserts run in batched
-/// transactions (SinkConfig::batch_rows, default 64): each commit is a
-/// durability point for resume. A 5s busy timeout tolerates concurrent
+/// transactions of 64 rows: each commit is a durability point for resume. A 5s busy timeout tolerates concurrent
 /// shard writers appending to one database. The destructor without
 /// finish() rolls the open transaction back and does not rename (the abort
 /// path of the partial-output contract).
@@ -218,7 +212,6 @@ class SqliteSink : public ResultSink {
   std::string tmp_path_;
   std::string final_path_;  // empty in append mode: nothing to rename
   bool append_ = false;
-  std::size_t batch_rows_ = 64;
   bool in_transaction_ = false;
 };
 #endif  // COLSCORE_HAVE_SQLITE

@@ -10,7 +10,7 @@ void fixture_foreign_group() {
   RunWorkspace& ws = RunWorkspace::current();
   ws.vt_offsets.clear();     // own group: fine
   ws.sel_diff.clear();       // VIOLATION: sel_ belongs to select.cpp
-  ws.zr_batch_words.clear(); // VIOLATION: zr_ belongs to zero_radius.cpp
+  ws.zr_diff.clear();        // VIOLATION: zr_ belongs to zero_radius.cpp
   // colscore-lint: allow(CL001) fixture: documented cross-group handoff
   ws.pf_coords.clear();      // suppressed
 }

@@ -129,6 +129,23 @@ TEST(NeighborCsr, AutoSelectsDenseForSmallN) {
   EXPECT_EQ(g.backend(), GraphBackend::kDense);
 }
 
+// kAuto's crossover on the benchmark's two graph shapes: each backend was
+// measured faster or leaner on its side (ROADMAP item 7), so these pin the
+// choice rather than let a heuristic change move a workload silently.
+TEST(NeighborCsr, AutoSelectsDenseForFewLargeClusters) {
+  // sleeper2048's shape: n = 2048 in 8 planted clusters, edge density ~1/8.
+  const std::vector<BitVector> z = planted_z(2048, 8, 512, Rng(31));
+  const NeighborGraph g(views(z), 16, GraphBackend::kAuto);
+  EXPECT_EQ(g.backend(), GraphBackend::kDense);
+}
+
+TEST(NeighborCsr, AutoSelectsCsrForManySmallClusters) {
+  // churn4096's shape: n = 4096 in 256 clusters over |S| = 4096, tau = 96.
+  const std::vector<BitVector> z = planted_z(4096, 256, 4096, Rng(32));
+  const NeighborGraph g(views(z), 96, GraphBackend::kAuto);
+  EXPECT_EQ(g.backend(), GraphBackend::kCsr);
+}
+
 TEST(NeighborCsr, DensityEstimateIsDeterministicAndOrdered) {
   const std::vector<BitVector> zv = planted_z(256, 16, 128, Rng(21));
   const std::vector<ConstBitRow> z = views(zv);

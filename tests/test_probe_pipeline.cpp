@@ -2,12 +2,15 @@
 //
 // probe_row / probe_gather / own_probe_bits must be indistinguishable from
 // the per-bit probe() formulation in both directions the protocol observes:
-// the bits returned, and the per-player probe charges. A ProbeMemo must be
-// indistinguishable from probe() behind a per-coordinate memo, with its
-// bill charged once, when it goes out of scope. The fixed-seed
+// the bits returned, and the per-player probe charges. A ProbeMemo (and
+// its wide form) must be indistinguishable from probe() behind a
+// per-coordinate memo, with its bill charged once, when it goes out of
+// scope. The fixed-seed
 // charge-hash tests at the bottom pin the whole pipeline's accounting
 // against values captured on the pre-PR tree.
 #include <gtest/gtest.h>
+
+#include <bit>
 
 #include "src/common/exec_policy.hpp"
 #include "src/core/calculate_preferences.hpp"
@@ -191,35 +194,87 @@ TEST(ProbePipeline, OwnProbeBitsHonestChargesDishonestPeeksFree) {
   }
 }
 
+/// The bits of word w of a memo's universe on `mask`, read through either
+/// memo form (a ProbeMemo has only word 0).
+std::uint64_t read_word(ProbeMemo& memo, std::size_t w, std::uint64_t mask) {
+  EXPECT_EQ(w, 0u);
+  return memo.read(mask);
+}
+std::uint64_t read_word(WideProbeMemo& memo, std::size_t w, std::uint64_t mask) {
+  std::uint64_t got = 0;
+  for (std::uint64_t rest = mask; rest != 0; rest &= rest - 1) {
+    const int b = std::countr_zero(rest);
+    got |= static_cast<std::uint64_t>(memo.read(w * bitkernel::kWordBits + b)) << b;
+  }
+  return got;
+}
+
+/// Six rounds of random reads over every word of the universe, checked
+/// against `serial`, which probes each coordinate the first time a read
+/// covers it. Returns the reference's seen plane.
+template <typename Memo>
+std::vector<std::uint64_t> check_memoized_reads(Memo& memo, ProbeOracle& serial,
+                                                PlayerId p,
+                                                std::span<const ObjectId> objects,
+                                                Rng& picks, int trial) {
+  const std::size_t words = bitkernel::word_count(objects.size());
+  std::vector<std::uint64_t> seen(words, 0), value(words, 0);
+  for (int read = 0; read < 6; ++read) {
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::size_t bits =
+          std::min(objects.size() - w * bitkernel::kWordBits, bitkernel::kWordBits);
+      const std::uint64_t universe =
+          bits == bitkernel::kWordBits ? ~0ULL : (1ULL << bits) - 1;
+      const std::uint64_t mask = picks() & picks() & universe;
+      for (std::size_t c = 0; c < bits; ++c) {
+        if (((mask >> c) & 1) == 0 || ((seen[w] >> c) & 1) != 0) continue;
+        seen[w] |= 1ULL << c;
+        value[w] |= static_cast<std::uint64_t>(
+                        serial.probe(p, objects[w * bitkernel::kWordBits + c]))
+                    << c;
+      }
+      EXPECT_EQ(read_word(memo, w, mask), value[w] & mask) << "trial=" << trial;
+    }
+    EXPECT_EQ(memo.seen_count(), serial.probes_by(p)) << "trial=" << trial;
+  }
+  return seen;
+}
+
 TEST(ProbePipeline, ProbeMemoMatchesMemoizedProbesAndChargesOnce) {
-  // Each trial reads a universe of 1..64 objects (duplicates allowed: a
-  // memo charges coordinates, not objects) through random masks. The
-  // reference probes every coordinate the first time a mask covers it.
+  // Each trial reads a universe of 1..64 objects through a ProbeMemo, or of
+  // 65..200 through a WideProbeMemo (duplicates allowed: a memo charges
+  // coordinates, not objects), through random masks. The reference probes
+  // every coordinate the first time a mask covers it.
   Rng picks(0x3e30);
   const PreferenceMatrix m = random_matrix(4, 150, 12);
-  for (int trial = 0; trial < 200; ++trial) {
+  std::vector<std::uint64_t> planes;
+  for (int trial = 0; trial < 400; ++trial) {
+    const bool wide = trial >= 200;
     const auto p = static_cast<PlayerId>(picks.below(4));
-    std::vector<ObjectId> objects(1 + picks.below(64));
+    std::vector<ObjectId> objects(wide ? 65 + picks.below(136) : 1 + picks.below(64));
     for (ObjectId& o : objects) o = static_cast<ObjectId>(picks.below(150));
-    const std::uint64_t universe =
-        objects.size() == 64 ? ~0ULL : (1ULL << objects.size()) - 1;
 
     ProbeOracle serial(m);
     ProbeOracle memoized(m);
-    std::uint64_t seen = 0;
-    std::uint64_t value = 0;
-    {
-      ProbeMemo memo(memoized, p, objects, /*charged=*/true);
-      for (int read = 0; read < 6; ++read) {
-        const std::uint64_t mask = picks() & picks() & universe;
-        for (std::size_t c = 0; c < objects.size(); ++c) {
-          if (((mask >> c) & 1) == 0 || ((seen >> c) & 1) != 0) continue;
-          seen |= 1ULL << c;
-          value |= static_cast<std::uint64_t>(serial.probe(p, objects[c])) << c;
-        }
-        EXPECT_EQ(memo.read(mask), value & mask) << "trial=" << trial;
-        EXPECT_EQ(memo.seen_count(), serial.probes_by(p)) << "trial=" << trial;
+    if (wide) {
+      WideProbeMemo memo(memoized, p, objects, /*charged=*/true, planes);
+      const std::vector<std::uint64_t> seen =
+          check_memoized_reads(memo, serial, p, objects, picks, trial);
+      // patch overwrites exactly the seen coordinates with v(p).
+      BitVector out(objects.size());
+      out.randomize(picks);
+      const BitVector before = out;
+      memo.patch(out);
+      for (std::size_t c = 0; c < objects.size(); ++c) {
+        const bool was_seen = (seen[c / bitkernel::kWordBits] >> (c % bitkernel::kWordBits)) & 1;
+        EXPECT_EQ(memo.seen(c), was_seen) << "trial=" << trial << " c=" << c;
+        EXPECT_EQ(out.get(c), was_seen ? m.preference(p, objects[c]) : before.get(c))
+            << "trial=" << trial << " c=" << c;
       }
+      EXPECT_EQ(memoized.total_probes(), 0u);  // the bill lands at scope exit
+    } else {
+      ProbeMemo memo(memoized, p, objects, /*charged=*/true);
+      check_memoized_reads(memo, serial, p, objects, picks, trial);
       EXPECT_EQ(memoized.total_probes(), 0u);  // the bill lands at scope exit
     }
     EXPECT_EQ(memoized.probes_by(p), serial.probes_by(p)) << "trial=" << trial;
@@ -240,18 +295,31 @@ TEST(ProbePipeline, ProbeMemoDishonestAndUnreadAreFree) {
   std::uint64_t truth5 = 0;
   for (std::size_t c = 0; c < objects.size(); ++c)
     truth5 |= static_cast<std::uint64_t>(world.matrix.preference(5, objects[c])) << c;
+  // A 150-coordinate universe (every object, then 50 repeats) for the wide form.
+  std::vector<ObjectId> wide_objects(150);
+  for (std::size_t c = 0; c < wide_objects.size(); ++c)
+    wide_objects[c] = static_cast<ObjectId>(c % m);
+  std::vector<std::uint64_t> planes;
 
   {
     ProbeMemo memo = env.own_probe_memo(5, objects);  // dishonest: free
     EXPECT_EQ(memo.read(0x3f), truth5);
     EXPECT_EQ(memo.seen_count(), 6u);
   }
+  {
+    WideProbeMemo memo = env.own_probe_memo(5, wide_objects, planes);  // dishonest
+    for (std::size_t c = 0; c < wide_objects.size(); ++c)
+      EXPECT_EQ(memo.read(c), world.matrix.preference(5, wide_objects[c]));
+    EXPECT_EQ(memo.seen_count(), 150u);
+  }
   { ProbeMemo unread = env.own_probe_memo(2, objects); }
+  { WideProbeMemo unread = env.own_probe_memo(2, wide_objects, planes); }
   {
     ProbeMemo empty_read = env.own_probe_memo(2, objects);
     EXPECT_EQ(empty_read.read(0), 0u);
   }
   { ProbeMemo no_universe = env.own_probe_memo(2, {}); }
+  { WideProbeMemo no_universe = env.own_probe_memo(2, {}, planes); }
   EXPECT_EQ(oracle.total_probes(), 0u);
   {
     ProbeMemo honest = env.own_probe_memo(2, objects);
@@ -259,13 +327,21 @@ TEST(ProbePipeline, ProbeMemoDishonestAndUnreadAreFree) {
     honest.read(0x7);
   }
   EXPECT_EQ(oracle.probes_by(2), 3u);
-  EXPECT_EQ(oracle.total_probes(), 3u);
+  {
+    WideProbeMemo honest = env.own_probe_memo(2, wide_objects, planes);
+    for (const std::size_t c : {0u, 140u, 140u, 64u, 0u}) honest.read(c);
+  }
+  EXPECT_EQ(oracle.probes_by(2), 6u);
+  EXPECT_EQ(oracle.total_probes(), 6u);
 }
 
 TEST(ProbePipeline, ProbeMemoHardBudgetChargesTheWholeBill) {
-  const PreferenceMatrix m = random_matrix(3, 80, 13);
-  std::vector<ObjectId> objects(16);
+  const PreferenceMatrix m = random_matrix(3, 1000, 13);
+  std::vector<ObjectId> objects(16), wide_objects(200);
   for (std::size_t c = 0; c < objects.size(); ++c) objects[c] = static_cast<ObjectId>(5 * c);
+  for (std::size_t c = 0; c < wide_objects.size(); ++c)
+    wide_objects[c] = static_cast<ObjectId>(5 * c);
+  std::vector<std::uint64_t> planes;
   // A bill of exactly the budget passes; rereads pay nothing more.
   ProbeOracle at_budget(m, ProbeOracle::BudgetMode::kHard, 10);
   {
@@ -274,12 +350,25 @@ TEST(ProbePipeline, ProbeMemoHardBudgetChargesTheWholeBill) {
     memo.read(0x0ff);
   }
   EXPECT_EQ(at_budget.probes_by(1), 10u);
+  ProbeOracle wide_at_budget(m, ProbeOracle::BudgetMode::kHard, 10);
+  {
+    WideProbeMemo memo(wide_at_budget, 1, wide_objects, /*charged=*/true, planes);
+    for (std::size_t c = 190; c < 200; ++c) memo.read(c);
+    for (std::size_t c = 195; c < 200; ++c) memo.read(c);
+  }
+  EXPECT_EQ(wide_at_budget.probes_by(1), 10u);
   // A bill of budget + 1 aborts when the memo charges it.
   ProbeOracle over_budget(m, ProbeOracle::BudgetMode::kHard, 10);
   EXPECT_DEATH(
       {
         ProbeMemo memo(over_budget, 1, objects, /*charged=*/true);
         memo.read(0x7ff);
+      },
+      "budget");
+  EXPECT_DEATH(
+      {
+        WideProbeMemo memo(over_budget, 1, wide_objects, /*charged=*/true, planes);
+        for (std::size_t c = 189; c < 200; ++c) memo.read(c);
       },
       "budget");
 }

@@ -189,6 +189,74 @@ TEST(ZeroRadiusStats, MergeAccumulates) {
   EXPECT_EQ(a.max_depth, 7u);
 }
 
+/// FNV-style hashes of one fixed-seed run at n = 256, B' = 4 (at least one
+/// level of recursion, so every player runs adopt): every output bit and
+/// every player's probe bill, plus the adoption counters.
+struct AdoptionPin {
+  std::uint64_t outputs = 0xcbf29ce484222325ULL;
+  std::uint64_t probes_by = 0xcbf29ce484222325ULL;
+  std::size_t fallbacks = 0;
+  std::size_t repairs = 0;
+  std::size_t max_depth = 0;
+};
+
+AdoptionPin pinned_run(World world, std::size_t inverters, std::uint64_t phase_key,
+                       double base_factor = ZeroRadiusParams{}.base_factor) {
+  Harness h(std::move(world));
+  Rng rng(phase_key);
+  h.population.corrupt_random(inverters, rng, [] { return std::make_unique<Inverter>(); });
+  ZeroRadiusParams params;
+  params.budget = 4;
+  params.base_factor = base_factor;
+  const auto players = h.all_players();
+  const ZeroRadiusResult r = zero_radius(players, h.all_objects(), params, h.env, phase_key);
+  AdoptionPin out;
+  out.fallbacks = r.stats.fallbacks;
+  out.repairs = r.stats.repairs;
+  out.max_depth = r.stats.max_depth;
+  for (const BitVector& v : r.outputs) {
+    for (const std::uint64_t w : ConstBitRow(v).words()) {
+      out.outputs ^= w;
+      out.outputs *= 0x100000001b3ULL;
+    }
+  }
+  for (const PlayerId p : players) {
+    out.probes_by ^= h.oracle.probes_by(p);
+    out.probes_by *= 0x100000001b3ULL;
+  }
+  return out;
+}
+
+// Outputs, per-player charges and adoption counters of three runs that
+// reach adopt, captured before adoption read its bits through a ProbeMemo:
+// honest; inverters at n/(3B'); and a noisy planted invocation whose
+// adopted vectors need repairs. With default constants adoption never
+// exhausts its candidates (there are at most ~2B' of them), so the noisy
+// run also recurses to single players (base_factor ~ 0): their merges see
+// no publisher and take the probe-what-you-can fallback.
+TEST(ZeroRadius, FixedSeedAdoptionOutputsAndChargesUnchanged) {
+  const AdoptionPin honest = pinned_run(identical_clusters(256, 256, 4, Rng(31)), 0, 32);
+  EXPECT_EQ(honest.outputs, 0x0c44eb840d988d25ULL);
+  EXPECT_EQ(honest.probes_by, 0x4c3658c58e01264bULL);
+  EXPECT_EQ(honest.fallbacks, 0u);
+  EXPECT_EQ(honest.repairs, 0u);
+  EXPECT_EQ(honest.max_depth, 1u);
+  const AdoptionPin inverted =
+      pinned_run(identical_clusters(256, 256, 4, Rng(33)), 256 / 12, 34);
+  EXPECT_EQ(inverted.outputs, 0x4ef5f7e3c1679825ULL);
+  EXPECT_EQ(inverted.probes_by, 0x78eeb6074eb78447ULL);
+  EXPECT_EQ(inverted.fallbacks, 0u);
+  EXPECT_EQ(inverted.repairs, 0u);
+  EXPECT_EQ(inverted.max_depth, 1u);
+  const AdoptionPin noisy =
+      pinned_run(planted_clusters(256, 256, 4, 8, Rng(35)), 0, 36, /*base_factor=*/0.01);
+  EXPECT_EQ(noisy.outputs, 0x6ed1d2575514f1feULL);
+  EXPECT_EQ(noisy.probes_by, 0xbb9e39c967aed643ULL);
+  EXPECT_EQ(noisy.fallbacks, 385u);
+  EXPECT_EQ(noisy.repairs, 3136u);
+  EXPECT_EQ(noisy.max_depth, 17u);
+}
+
 class ZeroRadiusBudgetSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ZeroRadiusBudgetSweep, ExactForAllBudgets) {

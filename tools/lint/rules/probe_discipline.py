@@ -2,10 +2,12 @@
 
 The probe pipeline (ROADMAP "Probe pipeline + run workspaces") has four
 sanctioned read shapes: probe_row for contiguous ranges, probe_gather /
-own_probe_bits for slates known up front, a ProbeMemo (own_probe_memo) for
-small tournaments that revisit coordinates -- it charges each coordinate
-read once, when it goes out of scope -- and single probe()/own_probe() only
-inside genuinely adaptive loops.  These rules keep the next perf PR from
+own_probe_bits for slates known up front, a ProbeMemo or its wide form
+(own_probe_memo) for tournaments and adaptive loops that revisit
+coordinates -- it charges each coordinate read once, when it goes out of
+scope -- and single probe()/own_probe() only inside genuinely adaptive
+loops (none in the library: adaptive ZeroRadius elimination reads through
+its memo).  These rules keep the next perf PR from
 quietly reintroducing the serial forms the pipeline replaced, and keep
 uncharged truth reads (the adversary_peek family) inside the oracle, the
 env's honest/dishonest dispatch and the population's reports, so no
