@@ -16,9 +16,10 @@
 //     stride-padding words between rows are zero — row views hash/compare
 //     identically to an equal BitVector.
 //
-// Rows are exposed as BitRow/ConstBitRow views (see bitvector.hpp), which
-// share BitVector's word-parallel kernels: any code written against the views
-// runs unchanged over BitVectors and matrix rows.
+// Rows are exposed as BitRow/ConstBitRow views (see bitvector.hpp), the types
+// that define every word-parallel kernel; BitVector is a BitRow over its own
+// words, so code written against the views runs unchanged over BitVectors and
+// matrix rows.
 #pragma once
 
 #include <cstddef>

@@ -2,60 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <sstream>
 
 namespace colscore {
-
-std::string Summary::to_string() const {
-  std::ostringstream os;
-  os << "n=" << count << " min=" << min << " mean=" << mean << " p50=" << p50
-     << " p95=" << p95 << " max=" << max << " sd=" << stddev;
-  return os.str();
-}
-
-double quantile(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  std::sort(values.begin(), values.end());
-  const double pos = q * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
-Summary summarize(std::span<const double> values) {
-  Summary s;
-  if (values.empty()) return s;
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  s.count = sorted.size();
-  s.min = sorted.front();
-  s.max = sorted.back();
-  Accumulator acc;
-  for (double v : sorted) acc.add(v);
-  s.mean = acc.mean();
-  s.stddev = acc.stddev();
-  auto q = [&](double p) {
-    const double pos = p * static_cast<double>(sorted.size() - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-  };
-  s.p50 = q(0.50);
-  s.p95 = q(0.95);
-  s.p99 = q(0.99);
-  return s;
-}
-
-Summary summarize(std::span<const std::size_t> values) {
-  std::vector<double> d(values.size());
-  std::transform(values.begin(), values.end(), d.begin(),
-                 [](std::size_t v) { return static_cast<double>(v); });
-  return summarize(std::span<const double>(d));
-}
 
 void Accumulator::add(double x) noexcept {
   if (n_ == 0) {
@@ -75,30 +23,5 @@ double Accumulator::variance() const noexcept {
 }
 
 double Accumulator::stddev() const noexcept { return std::sqrt(variance()); }
-
-double loglog_slope(std::span<const double> x, std::span<const double> y) {
-  double sx = 0, sy = 0, sxx = 0, sxy = 0;
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < std::min(x.size(), y.size()); ++i) {
-    if (x[i] <= 0.0 || y[i] <= 0.0) continue;
-    const double lx = std::log(x[i]);
-    const double ly = std::log(y[i]);
-    sx += lx;
-    sy += ly;
-    sxx += lx * lx;
-    sxy += lx * ly;
-    ++n;
-  }
-  if (n < 2) return 0.0;
-  const double dn = static_cast<double>(n);
-  const double denom = dn * sxx - sx * sx;
-  if (std::abs(denom) < 1e-12) return 0.0;
-  return (dn * sxy - sx * sy) / denom;
-}
-
-double binomial_tail_bound(std::size_t k, double delta) {
-  if (k == 0) return 1.0;
-  return std::exp(-2.0 * delta * delta * static_cast<double>(k));
-}
 
 }  // namespace colscore

@@ -1,32 +1,9 @@
-// Small statistics helpers used by metrics and the experiment harness.
+// Online statistics for metrics: a Welford mean/variance accumulator.
 #pragma once
 
 #include <cstddef>
-#include <span>
-#include <string>
-#include <vector>
 
 namespace colscore {
-
-/// Summary of a sample of doubles.
-struct Summary {
-  std::size_t count = 0;
-  double min = 0.0;
-  double max = 0.0;
-  double mean = 0.0;
-  double stddev = 0.0;  // sample standard deviation (n-1)
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-
-  std::string to_string() const;
-};
-
-Summary summarize(std::span<const double> values);
-Summary summarize(std::span<const std::size_t> values);
-
-/// q-th quantile (q in [0,1]) with linear interpolation; input need not be sorted.
-double quantile(std::vector<double> values, double q);
 
 /// Online mean/variance accumulator (Welford).
 class Accumulator {
@@ -46,14 +23,5 @@ class Accumulator {
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-/// Least-squares slope of log(y) against log(x); used to fit scaling
-/// exponents in the probe-complexity experiments. Points with
-/// non-positive coordinates are skipped.
-double loglog_slope(std::span<const double> x, std::span<const double> y);
-
-/// Chernoff-style tail helper: probability that Binomial(k, 1/2) deviates
-/// from k/2 by at least delta*k (upper bound, exp(-2 delta^2 k)).
-double binomial_tail_bound(std::size_t k, double delta);
 
 }  // namespace colscore

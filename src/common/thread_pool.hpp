@@ -19,6 +19,12 @@ namespace colscore {
 
 class ThreadPool {
  public:
+  /// Largest worker count accepted from outside input (a suite file's
+  /// "threads", the CLI's --threads); checked where the input enters, before
+  /// any pool exists, so a typo is a named error rather than thousands of OS
+  /// threads. Tests and benches ask for at most a few dozen.
+  static constexpr std::size_t kMaxThreads = 1024;
+
   /// threads == 0 selects hardware_concurrency().
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();

@@ -1,6 +1,9 @@
 #include "src/metrics/error.hpp"
 
+#include <algorithm>
+
 #include "src/common/assert.hpp"
+#include "src/common/stats.hpp"
 
 namespace colscore {
 
@@ -21,11 +24,15 @@ ErrorStats error_stats(const PreferenceMatrix& truth,
                        std::span<const BitVector> outputs,
                        std::span<const PlayerId> players,
                        const ExecPolicy& policy) {
-  const auto errors = hamming_errors(truth, outputs, players, policy);
+  auto errors = hamming_errors(truth, outputs, players, policy);
+  // Welford over the errors in ascending order: the rounding of mean_error
+  // is part of every golden row.
+  std::sort(errors.begin(), errors.end());
+  Accumulator acc;
+  for (const std::size_t e : errors) acc.add(static_cast<double>(e));
   ErrorStats stats;
-  stats.summary = summarize(std::span<const std::size_t>(errors));
-  stats.max_error = static_cast<std::size_t>(stats.summary.max);
-  stats.mean_error = stats.summary.mean;
+  stats.max_error = errors.empty() ? 0 : errors.back();
+  stats.mean_error = acc.mean();
   return stats;
 }
 

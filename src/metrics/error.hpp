@@ -8,7 +8,6 @@
 
 #include "src/common/bitvector.hpp"
 #include "src/common/exec_policy.hpp"
-#include "src/common/stats.hpp"
 #include "src/model/preference_matrix.hpp"
 
 namespace colscore {
@@ -22,7 +21,6 @@ std::vector<std::size_t> hamming_errors(
 struct ErrorStats {
   std::size_t max_error = 0;
   double mean_error = 0.0;
-  Summary summary;
 };
 
 ErrorStats error_stats(

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/common/exec_policy.hpp"
-#include "src/common/stats.hpp"
 #include "src/model/preference_matrix.hpp"
 
 namespace colscore {

@@ -2,7 +2,7 @@
 //
 // Rows live in a contiguous BitMatrix (one allocation, cache-line-aligned
 // rows) and are exposed as zero-copy BitRow/ConstBitRow views; distance() and
-// diameter() run BitVector's word-parallel kernels over the views.
+// diameter() run the views' word-parallel kernels.
 #pragma once
 
 #include <span>

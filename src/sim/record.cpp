@@ -278,16 +278,6 @@ SummaryStat parse_summary_stat(std::string_view text) {
                       "'; accepted: none, mean, min, max");
 }
 
-const char* summary_stat_name(SummaryStat stat) {
-  switch (stat) {
-    case SummaryStat::kNone: return "none";
-    case SummaryStat::kMean: return "mean";
-    case SummaryStat::kMin: return "min";
-    case SummaryStat::kMax: return "max";
-  }
-  return "?";
-}
-
 MetricSchema summarized_schema(const MetricSchema& schema, SummaryStat stat) {
   if (stat != SummaryStat::kMean) return schema;
   MetricSchema out;

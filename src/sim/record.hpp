@@ -221,7 +221,6 @@ enum class SummaryStat { kNone, kMean, kMin, kMax };
 
 /// Parses "none"/"mean"/"min"/"max"; throws ScenarioError listing them.
 SummaryStat parse_summary_stat(std::string_view text);
-const char* summary_stat_name(SummaryStat stat);
 
 /// The schema of summarized rows: kMean widens u64/size columns to f64
 /// (round-trip formatted); kMin/kMax keep every type.

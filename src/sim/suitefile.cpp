@@ -6,6 +6,7 @@
 
 #include "src/common/json.hpp"
 #include "src/common/strict_parse.hpp"
+#include "src/common/thread_pool.hpp"
 #include "src/sim/fault.hpp"
 #include "src/sim/resume.hpp"
 
@@ -168,6 +169,10 @@ SuiteFile parse_suite_file(std::string_view json_text, std::string origin) {
     } else if (key == "threads") {
       file.options.threads = static_cast<std::size_t>(
           require_integer(file.origin, "threads", value));
+      if (file.options.threads > ThreadPool::kMaxThreads)
+        fail(file.origin, "\"threads\" must be at most " +
+                              std::to_string(ThreadPool::kMaxThreads) + " (got " +
+                              std::to_string(file.options.threads) + ")");
     } else if (key == "sink") {
       file.sink = require_string(file.origin, "sink", value);
     } else if (key == "output") {

@@ -77,7 +77,9 @@ TEST(BitMatrix, HammingMatchesBitVectorReference) {
       EXPECT_EQ(m.row(a).hamming(ref[b]), expect);  // mixed view/vector
       // hamming_exceeds agrees with the exact distance on both sides of the
       // threshold.
-      if (expect > 0) EXPECT_TRUE(m.row(a).hamming_exceeds(m.row(b), expect - 1));
+      if (expect > 0) {
+        EXPECT_TRUE(m.row(a).hamming_exceeds(m.row(b), expect - 1));
+      }
       EXPECT_FALSE(m.row(a).hamming_exceeds(m.row(b), expect));
     }
   }

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <numeric>
+#include <optional>
+#include <type_traits>
+#include <vector>
 
 namespace colscore {
 namespace {
@@ -75,24 +79,21 @@ TEST(BitVector, DiffPositions) {
   EXPECT_EQ(diff[2], 149u);
 }
 
-TEST(BitVector, GatherPositions) {
-  Rng rng(7);
-  BitVector v = random_bitvector(300, rng);
-  std::vector<std::size_t> positions = {5, 64, 128, 200, 299};
-  const BitVector g = v.gather(std::span<const std::size_t>(positions));
-  ASSERT_EQ(g.size(), positions.size());
-  for (std::size_t i = 0; i < positions.size(); ++i)
-    EXPECT_EQ(g.get(i), v.get(positions[i]));
-}
-
 TEST(BitVector, GatherObjectIds) {
-  Rng rng(9);
-  BitVector v = random_bitvector(100, rng);
-  std::vector<ObjectId> ids = {0, 50, 99};
-  const BitVector g = v.gather(std::span<const ObjectId>(ids));
-  EXPECT_EQ(g.get(0), v.get(0));
-  EXPECT_EQ(g.get(1), v.get(50));
-  EXPECT_EQ(g.get(2), v.get(99));
+  struct Case {
+    std::size_t size;
+    std::uint64_t seed;
+    std::vector<ObjectId> ids;
+  };
+  for (const Case& c : {Case{100, 9, {0, 50, 99}},
+                        Case{300, 7, {5, 64, 128, 200, 299}}}) {
+    Rng rng(c.seed);
+    const BitVector v = random_bitvector(c.size, rng);
+    const BitVector g = v.gather(std::span<const ObjectId>(c.ids));
+    ASSERT_EQ(g.size(), c.ids.size());
+    for (std::size_t i = 0; i < c.ids.size(); ++i)
+      EXPECT_EQ(g.get(i), v.get(c.ids[i])) << "size=" << c.size << " i=" << i;
+  }
 }
 
 TEST(BitVector, XorAndOrNot) {
@@ -200,6 +201,155 @@ TEST(BitVector, DiffPositionsMatchesHamming) {
   BitVector a = random_bitvector(500, rng);
   BitVector b = random_bitvector(500, rng);
   EXPECT_EQ(a.diff_positions(b).size(), a.hamming(b));
+}
+
+// ---- Value semantics ---------------------------------------------------------
+// BitVector is a BitRow over its own words: inline up to 192 bits, on the heap
+// above. Copies and moves must re-point the view at the destination's storage.
+
+static_assert(std::is_convertible_v<BitVector&, BitRow>);
+static_assert(!std::is_constructible_v<BitRow, BitVector&&>,
+              "a mutable view must not bind to a temporary BitVector");
+static_assert(!std::is_constructible_v<BitRow, const BitVector&>,
+              "a mutable view must not bind to a const BitVector");
+static_assert(!std::is_constructible_v<BitRow, const BitVector&&>);
+static_assert(std::is_convertible_v<const BitVector&, ConstBitRow>);
+static_assert(std::is_nothrow_move_constructible_v<BitVector>);
+static_assert(std::is_nothrow_move_assignable_v<BitVector>);
+
+// Sizes on both sides of the inline/heap boundary (192 bits = 3 words).
+constexpr std::size_t kBoundarySizes[] = {0, 100, 192, 193, 300};
+
+BitVector pattern(std::size_t size, std::uint64_t seed) {
+  Rng rng(seed);
+  return random_bitvector(size, rng);
+}
+
+TEST(BitVector, CopyConstructDoesNotAlias) {
+  for (const std::size_t size : kBoundarySizes) {
+    const BitVector src = pattern(size, size + 1);
+    BitVector copy(src);
+    EXPECT_EQ(copy, src) << "size=" << size;
+    EXPECT_EQ(copy.content_hash(), src.content_hash()) << "size=" << size;
+    if (size == 0) continue;
+    EXPECT_NE(copy.words().data(), src.words().data()) << "size=" << size;
+    copy.flip(size - 1);
+    EXPECT_EQ(copy.hamming(src), 1u) << "size=" << size;
+  }
+}
+
+TEST(BitVector, MoveConstructOutlivesSource) {
+  for (const std::size_t size : kBoundarySizes) {
+    const BitVector expected = pattern(size, size + 2);
+    std::optional<BitVector> src(expected);
+    BitVector moved(std::move(*src));
+    EXPECT_TRUE(src->empty()) << "size=" << size;
+    src.reset();  // the destination must not view the source's inline words
+    EXPECT_EQ(moved, expected) << "size=" << size;
+    if (size != 0) moved.flip(0);
+    EXPECT_EQ(moved.hamming(expected), size == 0 ? 0u : 1u) << "size=" << size;
+  }
+}
+
+TEST(BitVector, CopyAssignResizesBothWays) {
+  for (const std::size_t from : kBoundarySizes) {
+    for (const std::size_t to : kBoundarySizes) {
+      const BitVector src = pattern(to, to + 3);
+      BitVector dst = pattern(from, from + 4);
+      dst = src;
+      EXPECT_EQ(dst, src) << from << " -> " << to;
+      if (to == 0) continue;
+      EXPECT_NE(dst.words().data(), src.words().data()) << from << " -> " << to;
+      dst.flip(0);
+      EXPECT_EQ(dst.hamming(src), 1u) << from << " -> " << to;
+    }
+  }
+}
+
+TEST(BitVector, MoveAssignResizesBothWays) {
+  for (const std::size_t from : kBoundarySizes) {
+    for (const std::size_t to : kBoundarySizes) {
+      const BitVector expected = pattern(to, to + 5);
+      BitVector dst = pattern(from, from + 6);
+      {
+        BitVector src = expected;
+        dst = std::move(src);
+        EXPECT_TRUE(src.empty()) << from << " -> " << to;
+      }
+      EXPECT_EQ(dst, expected) << from << " -> " << to;
+    }
+  }
+}
+
+TEST(BitVector, AssignChainShrinksAndRegrows) {
+  const BitVector big = pattern(300, 21);
+  const BitVector small = pattern(10, 22);
+  BitVector v = big;
+  v = small;
+  EXPECT_EQ(v, small);
+  v = big;
+  EXPECT_EQ(v, big);
+  v = BitVector(small);
+  EXPECT_EQ(v, small);
+  v = BitVector(big);
+  EXPECT_EQ(v, big);
+}
+
+TEST(BitVector, SelfAssignmentKeepsContents) {
+  for (const std::size_t size : kBoundarySizes) {
+    const BitVector expected = pattern(size, size + 7);
+    BitVector v = expected;
+    BitVector& alias = v;
+    v = alias;
+    EXPECT_EQ(v, expected) << "size=" << size;
+    v = std::move(alias);
+    EXPECT_EQ(v, expected) << "size=" << size;
+  }
+}
+
+TEST(BitVector, MovedFromVectorIsReusable) {
+  for (const std::size_t size : kBoundarySizes) {
+    const BitVector expected = pattern(size, size + 8);
+    BitVector src = expected;
+    const BitVector taken = std::move(src);
+    ASSERT_TRUE(src.empty());
+    EXPECT_EQ(src.popcount(), 0u);
+    src = pattern(193, 9);
+    src.fill(true);
+    EXPECT_EQ(src.popcount(), 193u);
+    EXPECT_EQ(taken, expected) << "size=" << size;
+    src = BitVector(size);
+    EXPECT_EQ(src.size(), size);
+    EXPECT_EQ(src.popcount(), 0u);
+  }
+}
+
+TEST(BitVector, ReallocatingContainerKeepsContents) {
+  std::vector<BitVector> vs;
+  std::vector<BitVector> expected;
+  for (std::size_t i = 0; i < 40; ++i) {
+    const std::size_t size = kBoundarySizes[i % std::size(kBoundarySizes)];
+    expected.push_back(pattern(size, i));
+    vs.push_back(pattern(size, i));  // push_back moves on every regrowth
+  }
+  for (std::size_t i = 0; i < vs.size(); ++i) EXPECT_EQ(vs[i], expected[i]) << i;
+}
+
+TEST(BitVector, BitRowViewWritesThrough) {
+  for (const std::size_t size : {100u, 300u}) {
+    BitVector v(size);
+    BitRow row = v;
+    EXPECT_EQ(row.words().data(), v.words().data());
+    row.set(size - 1, true);
+    EXPECT_TRUE(v.get(size - 1));
+    const BitVector other = pattern(size, 31);
+    row = other;  // proxy assignment: writes the bits, keeps the binding
+    EXPECT_EQ(v, other);
+    EXPECT_EQ(row.words().data(), v.words().data());
+    auto clear = [](BitRow r) { r.fill(false); };
+    clear(v);
+    EXPECT_EQ(v.popcount(), 0u);
+  }
 }
 
 class BitVectorSizeSweep : public ::testing::TestWithParam<std::size_t> {};

@@ -134,6 +134,16 @@ TEST(CliFrontEnd, NegativeThreadCountPrintsUsage) {
   EXPECT_EQ(result.err.find("aborted"), std::string::npos) << result.err;
 }
 
+TEST(CliFrontEnd, OverCapThreadCountFailsByName) {
+  // The cap is checked while parsing arguments, before --threads resizes the
+  // process pool, so no worker is started for an over-cap count.
+  const CliResult result = cli("--threads 1025 --n 32 --budget 4 --no-opt");
+  EXPECT_EQ(result.exit_code, 2) << result.err;
+  EXPECT_NE(result.err.find("--threads must be at most 1024 (got 1025)"),
+            std::string::npos)
+      << result.err;
+}
+
 TEST(CliFrontEnd, ZeroBudgetFailsTheGridAtPlanTime) {
   // A budget=0 cell must fail the grid at plan time: run isolation catches
   // exceptions, not assertion aborts, so a mid-run failure would kill the

@@ -151,8 +151,9 @@ TEST(Simd, ExtractBitsMatchesScalarEverywhere) {
       }
       // Padding invariant: bits past n in the last word are zero.
       const std::size_t rem = n % 64;
-      if (rem != 0)
+      if (rem != 0) {
         EXPECT_EQ(want[out_words - 1] & ~bitkernel::low_mask(rem), 0u);
+      }
     }
   }
 }
@@ -168,9 +169,12 @@ TEST(Simd, ExtractBitsZeroLengthWritesNothing) {
 
 TEST(Simd, SetTierSwitchesTheDispatchedEntryPoints) {
   Rng rng(16);
-  const std::size_t words = 64;  // above kDispatchMinWords: dispatch engages
-  const std::vector<std::uint64_t> a = random_words(words, rng);
-  const std::vector<std::uint64_t> b = random_words(words, rng);
+  // 64 words: above kDispatchMinWords, so dispatch engages. The count is
+  // read back from the vector: a literal lets GCC unroll the scalar tail
+  // and warn about iterations it cannot reach (-Waggressive-loop-optimizations).
+  const std::vector<std::uint64_t> a = random_words(64, rng);
+  const std::vector<std::uint64_t> b = random_words(64, rng);
+  const std::size_t words = a.size();
   const std::size_t want = bitkernel::scalar::hamming(a.data(), b.data(), words);
   const simd::Tier before = simd::active_tier();
   for (const simd::Tier t : supported_tiers()) {
@@ -201,11 +205,12 @@ TEST(Simd, DetectedTierHonorsEnvCap) {
   const char* env = std::getenv("COLSCORE_SIMD");
   if (env == nullptr) GTEST_SKIP() << "COLSCORE_SIMD not set";
   const std::string cap(env);
-  if (cap == "scalar")
+  if (cap == "scalar") {
     EXPECT_EQ(simd::detected_tier(), simd::Tier::kScalar);
-  else if (cap == "avx2")
+  } else if (cap == "avx2") {
     EXPECT_LE(static_cast<int>(simd::detected_tier()),
               static_cast<int>(simd::Tier::kAvx2));
+  }
 }
 
 TEST(Simd, DispatchedEntryPointsMatchScalarBelowAndAboveTheGate) {

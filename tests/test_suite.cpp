@@ -183,9 +183,10 @@ TEST(Grid, TakeRepsAxisExtractsAndValidates) {
 }
 
 TEST(SuiteRunner, RepsReplicateEveryCellWithDistinctSeeds) {
+  SuiteOptions options;
+  options.threads = 1;
   const auto runs =
-      SuiteRunner(SuiteOptions{.threads = 1})
-          .run_grid(small_base(), "adversary=none,sleeper x reps=3");
+      SuiteRunner(options).run_grid(small_base(), "adversary=none,sleeper x reps=3");
   ASSERT_EQ(runs.size(), 6u);  // 2 cells x 3 reps, rep fastest
   std::vector<std::uint64_t> seeds;
   for (std::size_t i = 0; i < runs.size(); ++i) {

@@ -109,6 +109,9 @@ TEST(SuiteFile, WrongTypedValuesNameKeyAndKinds) {
                      {"\"reps\" must be an integer", "got string"});
   expect_parse_error(R"({"reps": 2.5})", {"\"reps\"", "non-negative integer"});
   expect_parse_error(R"({"reps": 0})", {"\"reps\" must be a positive integer"});
+  // Parse only: an over-cap count is rejected before any pool could exist.
+  expect_parse_error(R"({"threads": 1025})",
+                     {"\"threads\" must be at most 1024 (got 1025)"});
   expect_parse_error(R"({"wall": 1})", {"\"wall\" must be a boolean"});
   expect_parse_error(R"({"sink": 3})", {"\"sink\" must be a string"});
   expect_parse_error(R"({"base": 7})",

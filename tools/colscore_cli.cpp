@@ -231,6 +231,10 @@ int run(int argc, char** argv) {
     else if (arg == "--suite") suite_path = next();
     else if (arg == "--threads") {
       const std::size_t threads = next_size();
+      if (threads > ThreadPool::kMaxThreads)
+        throw ScenarioError("--threads must be at most " +
+                            std::to_string(ThreadPool::kMaxThreads) + " (got " +
+                            std::to_string(threads) + ")");
       // --threads also sizes the process-default policy, so default-argument
       // code paths (ExecPolicy::process_default) agree with the suite
       // policy. This is the one sanctioned reset_global call site (CL012).
