@@ -49,33 +49,15 @@ thread_local Binding tl_binding;
 
 }  // namespace
 
-ExecPolicy::ExecPolicy(Kind kind, ThreadPool* pool, std::size_t workers)
-    : kind_(kind),
-      pool_(pool),
+ExecPolicy::ExecPolicy(ThreadPool* pool, std::size_t workers)
+    : pool_(pool),
       workers_(workers),
       arena_(std::make_shared<WorkspaceArena>()) {}
 
-ExecPolicy ExecPolicy::serial() {
-  return ExecPolicy(Kind::kSerial, nullptr, 1);
-}
+ExecPolicy ExecPolicy::serial() { return ExecPolicy(nullptr, 1); }
 
 ExecPolicy ExecPolicy::pool(ThreadPool& pool) {
-  return ExecPolicy(Kind::kPool, &pool,
-                    std::max<std::size_t>(1, pool.thread_count()));
-}
-
-const ExecPolicy& ExecPolicy::process_default() {
-  static const ExecPolicy policy(Kind::kGlobal, nullptr, 0);
-  return policy;
-}
-
-std::size_t ExecPolicy::global_worker_count() {
-  return ThreadPool::global().thread_count();
-}
-
-ThreadPool& ExecPolicy::resolve_pool() const {
-  if (kind_ == Kind::kPool) return *pool_;
-  return ThreadPool::global();
+  return ExecPolicy(&pool, std::max<std::size_t>(1, pool.thread_count()));
 }
 
 RunWorkspace& ExecPolicy::workspace() const {
@@ -99,7 +81,7 @@ void ExecPolicy::run_on_pool(std::size_t begin, std::size_t end,
         WorkerScope worker(self);
         chunk_loop();
       };
-  resolve_pool().parallel_for(begin, end, body, grain, scope);
+  pool_->parallel_for(begin, end, body, grain, scope);
 }
 
 WorkerScope::WorkerScope(const ExecPolicy& policy) : arena_(policy.arena_) {

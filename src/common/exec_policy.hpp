@@ -1,20 +1,20 @@
 // ExecPolicy: an explicit execution-policy handle threaded through every
 // parallel loop (the lgrtk device_policy shape, specialized to this repo).
 //
-// A policy names *where* data-parallel work runs — serial inline, on a
-// caller-owned ThreadPool, or on the process-default pool — and *which*
-// scratch it uses: each policy owns an arena of RunWorkspace slots, and a
-// worker executing under the policy is bound to exactly one slot for the
-// duration of its outermost frame (WorkerScope). Nested frames on the same
-// worker share that slot, preserving the CL001 workspace-group contract,
-// while two policies (two concurrent suites) can never alias scratch because
-// their arenas are disjoint.
+// A policy names *where* data-parallel work runs — serial inline, or on a
+// ThreadPool its caller owns; there is no process-wide pool behind it — and
+// *which* scratch it uses: each policy owns an arena of RunWorkspace slots,
+// and a worker executing under the policy is bound to exactly one slot for
+// the duration of its outermost frame (WorkerScope). Nested frames on the
+// same worker share that slot, preserving the CL001 workspace-group
+// contract, while two policies (two concurrent suites) can never alias
+// scratch because their arenas are disjoint.
 //
 // Migration rule for new code: take `const ExecPolicy&` (or a ProtocolEnv,
 // which carries one) and spell loops `policy.par_for(...)` / `env.par_for(...)`
-// and scratch `policy.workspace()` / `env.workspace()`. The ambient spellings
-// `ThreadPool::global()`, free `parallel_for(...)`, and
-// `RunWorkspace::current()` are banned in src/ by lint rule CL012.
+// and scratch `policy.workspace()` / `env.workspace()`. Lint rule CL012 keeps
+// ambient execution state (a process-wide pool, a free `parallel_for(...)`,
+// `RunWorkspace::current()`) out of src/.
 #pragma once
 
 #include <cstddef>
@@ -37,24 +37,12 @@ class ExecPolicy {
   /// ThreadPool's destructor drains its queue, so pool-before-policy
   /// destruction order is safe).
   static ExecPolicy pool(ThreadPool& pool);
-  /// The process-wide default policy over ThreadPool::global(). The one
-  /// sanctioned spelling for code without a caller-provided policy (benches,
-  /// tests, the free parallel_for shim). Resolves the global pool lazily on
-  /// every call so the CLI's startup sizing still applies.
-  static const ExecPolicy& process_default();
 
   ExecPolicy(const ExecPolicy&) = default;
   ExecPolicy& operator=(const ExecPolicy&) = default;
 
   /// Number of workers a par_for may use (1 => par_for runs inline).
-  std::size_t worker_count() const noexcept {
-    switch (kind_) {
-      case Kind::kSerial: return 1;
-      case Kind::kPool: return workers_;
-      case Kind::kGlobal: return global_worker_count();
-    }
-    return 1;
-  }
+  std::size_t worker_count() const noexcept { return workers_; }
 
   /// The workspace slot bound to the calling worker (via WorkerScope). On a
   /// thread not bound to this policy's arena, falls back to the per-thread
@@ -78,19 +66,14 @@ class ExecPolicy {
   }
 
  private:
-  enum class Kind { kSerial, kPool, kGlobal };
+  ExecPolicy(ThreadPool* pool, std::size_t workers);
 
-  ExecPolicy(Kind kind, ThreadPool* pool, std::size_t workers);
-
-  static std::size_t global_worker_count();
-  ThreadPool& resolve_pool() const;
   void run_on_pool(std::size_t begin, std::size_t end,
                    const std::function<void(std::size_t)>& body,
                    std::size_t grain) const;
 
-  Kind kind_;
-  ThreadPool* pool_ = nullptr;  // kPool only
-  std::size_t workers_ = 1;     // cached thread count for kPool
+  ThreadPool* pool_ = nullptr;  // null => serial
+  std::size_t workers_ = 1;     // cached thread count of pool_
   std::shared_ptr<WorkspaceArena> arena_;
 
   friend class WorkerScope;

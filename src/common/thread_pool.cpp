@@ -146,25 +146,4 @@ void sleep_for_seconds(double seconds) {
   std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
-namespace {
-std::unique_ptr<ThreadPool>& global_slot() {
-  static std::unique_ptr<ThreadPool> pool = std::make_unique<ThreadPool>();
-  return pool;
-}
-std::mutex& global_mutex() {
-  static std::mutex m;
-  return m;
-}
-}  // namespace
-
-ThreadPool& ThreadPool::global() {
-  std::lock_guard lock(global_mutex());
-  return *global_slot();
-}
-
-void ThreadPool::reset_global(std::size_t threads) {
-  std::lock_guard lock(global_mutex());
-  global_slot() = std::make_unique<ThreadPool>(threads);
-}
-
 }  // namespace colscore

@@ -47,15 +47,6 @@ class ThreadPool {
                     const std::function<void(std::size_t)>& body,
                     std::size_t grain = 0, const ThreadScope& scope = {});
 
-  /// Process-wide pool backing ExecPolicy::process_default(), sized from
-  /// hardware concurrency on first use. Library code never names it
-  /// directly (lint rule CL012) — it reaches the pool through an ExecPolicy.
-  static ThreadPool& global();
-  /// Overrides the global pool thread count (rebuilds the pool). Reserved
-  /// for the CLI entry point; tests and library code hold their own pools
-  /// behind explicit ExecPolicy instances instead.
-  static void reset_global(std::size_t threads);
-
  private:
   void worker_loop();
 
@@ -76,7 +67,7 @@ class ThreadPool {
 void sleep_for_seconds(double seconds);
 
 // Library code does not drive a pool directly: parallel loops run through an
-// explicit ExecPolicy (exec_policy.hpp), and lint rule CL012 rejects the
-// ambient spellings.
+// explicit ExecPolicy (exec_policy.hpp) over a pool some caller owns — a
+// suite, a test, a bench — and there is no process-wide pool.
 
 }  // namespace colscore

@@ -56,6 +56,6 @@ RobustResult robust_calculate_preferences(
     ProbeOracle& oracle, BulletinBoard& board, const Population& population,
     const RobustParams& params, std::uint64_t phase_key,
     std::uint64_t local_seed = 0x10ca1ULL,
-    const ExecPolicy& policy = ExecPolicy::process_default());
+    const ExecPolicy& policy = ExecPolicy::serial());
 
 }  // namespace colscore

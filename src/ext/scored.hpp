@@ -67,7 +67,7 @@ struct ScoredResult {
 /// Every per-layer ProtocolEnv runs under `policy`.
 ScoredResult scored_calculate_preferences(
     const ScoredWorld& world, const Population& population, const Params& params,
-    std::uint64_t seed, const ExecPolicy& policy = ExecPolicy::process_default());
+    std::uint64_t seed, const ExecPolicy& policy = ExecPolicy::serial());
 
 /// Max L1 error over the honest players.
 std::size_t scored_max_error(const ScoredWorld& world, const Population& population,

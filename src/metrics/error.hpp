@@ -16,7 +16,7 @@ namespace colscore {
 std::vector<std::size_t> hamming_errors(
     const PreferenceMatrix& truth, std::span<const BitVector> outputs,
     std::span<const PlayerId> players,
-    const ExecPolicy& policy = ExecPolicy::process_default());
+    const ExecPolicy& policy = ExecPolicy::serial());
 
 struct ErrorStats {
   std::size_t max_error = 0;
@@ -26,6 +26,6 @@ struct ErrorStats {
 ErrorStats error_stats(
     const PreferenceMatrix& truth, std::span<const BitVector> outputs,
     std::span<const PlayerId> players,
-    const ExecPolicy& policy = ExecPolicy::process_default());
+    const ExecPolicy& policy = ExecPolicy::serial());
 
 }  // namespace colscore

@@ -24,7 +24,7 @@ struct OptEstimate {
 
 /// O(n^2) distance computation, parallelized under `policy`. `group_size` = n/B.
 OptEstimate opt_radius(const PreferenceMatrix& truth, std::size_t group_size,
-                       const ExecPolicy& policy = ExecPolicy::process_default());
+                       const ExecPolicy& policy = ExecPolicy::serial());
 
 /// Max over players of error[p] / max(1, radius[p]); the constant-factor
 /// optimality claim (Theorem 14) predicts this stays bounded.

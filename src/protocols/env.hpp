@@ -23,7 +23,7 @@ struct ProtocolEnv {
   ProtocolEnv(ProbeOracle& oracle_in, BulletinBoard& board_in,
               const Population& population_in, RandomnessBeacon& beacon_in,
               std::uint64_t local_seed_in = 0x10ca1ULL,
-              const ExecPolicy& policy_in = ExecPolicy::process_default())
+              const ExecPolicy& policy_in = ExecPolicy::serial())
       : oracle(oracle_in), board(board_in), population(population_in),
         beacon(beacon_in), local_seed(local_seed_in), policy(policy_in) {}
 

@@ -53,7 +53,7 @@ struct CsrNeighbors {
 /// streaming update contract (NeighborGraph::apply_updates).
 CsrNeighbors build_csr_neighbors(
     std::span<const ConstBitRow> z, std::size_t threshold,
-    const ExecPolicy& policy = ExecPolicy::process_default(),
+    const ExecPolicy& policy = ExecPolicy::serial(),
     const BitVector* alive = nullptr);
 
 /// Estimated edge density in [0, 1] from a deterministic sample of pairs

@@ -81,11 +81,11 @@ class NeighborGraph {
   /// a kArrive update readmits them).
   NeighborGraph(std::span<const ConstBitRow> z, std::size_t threshold,
                 GraphBackend backend = GraphBackend::kAuto,
-                const ExecPolicy& policy = ExecPolicy::process_default(),
+                const ExecPolicy& policy = ExecPolicy::serial(),
                 const BitVector* alive = nullptr);
   NeighborGraph(const BitMatrix& z, std::size_t threshold,
                 GraphBackend backend = GraphBackend::kAuto,
-                const ExecPolicy& policy = ExecPolicy::process_default());
+                const ExecPolicy& policy = ExecPolicy::serial());
 
   /// The resolved backend (never kAuto). Stable across apply_updates — a
   /// rebuild epoch keeps the backend resolved at construction so the
@@ -123,7 +123,7 @@ class NeighborGraph {
   /// tests/test_stream.cpp).
   GraphDelta apply_updates(std::span<const RowUpdate> updates,
                            std::span<const ConstBitRow> z,
-                           const ExecPolicy& policy = ExecPolicy::process_default());
+                           const ExecPolicy& policy = ExecPolicy::serial());
 
   /// Neighbours of p as an n-bit row view (bit q set iff edge pq).
   /// Dense backend only — callers that must handle both backends walk

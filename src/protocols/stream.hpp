@@ -62,14 +62,14 @@ class StreamSession {
   StreamSession(std::span<const ConstBitRow> z, std::size_t threshold,
                 std::size_t min_cluster,
                 GraphBackend backend = GraphBackend::kAuto,
-                const ExecPolicy& policy = ExecPolicy::process_default());
+                const ExecPolicy& policy = ExecPolicy::serial());
 
   /// Applies one epoch: the caller has already mutated the flipped rows in
   /// place; `updates` lists every player whose row content or aliveness
   /// changed (at most once each). Returns what the epoch did.
   StreamEpochStats apply_epoch(
       std::span<const RowUpdate> updates,
-      const ExecPolicy& policy = ExecPolicy::process_default());
+      const ExecPolicy& policy = ExecPolicy::serial());
 
   const NeighborGraph& graph() const noexcept { return graph_; }
   const Clustering& clustering() const noexcept { return clustering_; }

@@ -21,7 +21,7 @@ namespace {
 // ---- override-value parsing -------------------------------------------------
 
 [[noreturn]] void bad_value(const std::string& key, const std::string& value,
-                            const char* want) {
+                            const std::string& want) {
   throw ScenarioError("override '" + key + "=" + value + "': expected " + want);
 }
 
@@ -62,6 +62,7 @@ struct ParamsDoubleField {
 struct ParamsSizeField {
   const char* key;
   std::size_t Params::*member;
+  bool positive = false;  // zero is rejected at resolve()
 };
 
 constexpr ParamsDoubleField kParamsDoubleFields[] = {
@@ -79,10 +80,11 @@ constexpr ParamsDoubleField kParamsDoubleFields[] = {
 };
 
 constexpr ParamsSizeField kParamsSizeFields[] = {
-    {"sr_repeats", &Params::sr_repeats},
+    // SmallRadius needs a candidate per repeat and a finalist to play.
+    {"sr_repeats", &Params::sr_repeats, /*positive=*/true},
     {"sr_probes_per_pair", &Params::sr_probes_per_pair},
     {"sr_prefilter_probes", &Params::sr_prefilter_probes},
-    {"sr_max_finalists", &Params::sr_max_finalists},
+    {"sr_max_finalists", &Params::sr_max_finalists, /*positive=*/true},
     {"vote_min", &Params::vote_min},
 };
 
@@ -91,22 +93,25 @@ constexpr const char* kCoreKeys[] = {
     "reps", "dishonest", "zipf", "opt",      "paper_params",
 };
 
+/// A count the protocols assert is at least 1; a zero must fail at resolve(),
+/// not abort a sweep mid-run.
+std::size_t parse_positive(const std::string& key, const std::string& value) {
+  const std::size_t v = parse_size(key, value);
+  if (v == 0) bad_value(key, value, "a positive integer");
+  return v;
+}
+
 /// Applies a core (non-Params) override. Returns false if the key is not a
 /// core key.
 bool apply_core_override(Scenario& sc, const std::string& key,
                          const std::string& value) {
   if (key == "n") sc.n = parse_size(key, value);
-  else if (key == "budget") {
-    // Every algorithm sizes its samples by the budget and asserts it is at
-    // least 1; a zero must fail here, not abort a sweep mid-run.
-    sc.budget = parse_size(key, value);
-    if (sc.budget == 0) bad_value(key, value, "a positive integer");
-  }
+  else if (key == "budget") sc.budget = parse_positive(key, value);
   else if (key == "seed") sc.seed = parse_u64(key, value);
   else if (key == "diameter") sc.diameter = parse_size(key, value);
   else if (key == "clusters") sc.n_clusters = parse_size(key, value);
   else if (key == "dishonest") sc.dishonest = parse_size(key, value);
-  else if (key == "reps") sc.robust_outer_reps = parse_size(key, value);
+  else if (key == "reps") sc.robust_outer_reps = parse_positive(key, value);
   else if (key == "zipf") sc.zipf_sizes = parse_bool(key, value);
   else if (key == "opt") sc.compute_opt = parse_bool(key, value);
   else if (key == "paper_params") sc.paper_params = parse_bool(key, value);
@@ -124,7 +129,8 @@ bool apply_params_override(Params& params, const std::string& key,
     }
   for (const auto& f : kParamsSizeFields)
     if (key == f.key) {
-      params.*(f.member) = parse_size(key, value);
+      params.*(f.member) =
+          f.positive ? parse_positive(key, value) : parse_size(key, value);
       return true;
     }
   return false;
@@ -176,6 +182,35 @@ std::size_t derived_clusters(const Scenario& sc) {
   return sc.n_clusters != 0 ? sc.n_clusters : std::max<std::size_t>(1, sc.budget);
 }
 
+// Workload preconditions, checked before a generator runs so that a spec
+// the generator cannot build fails its row with a ScenarioError naming the
+// key, instead of a CS_ASSERT abort that takes the whole sweep down.
+
+/// Every one of `groups` clusters (or chain links) needs a player. Names
+/// `clusters` when it is set, else `budget`, which the count defaults from.
+void require_groups_fit(const Scenario& sc, std::size_t groups) {
+  if (groups <= sc.n) return;
+  const std::string want = "at most n (" + std::to_string(sc.n) +
+                           ") clusters (got " + std::to_string(groups) + ")";
+  if (sc.n_clusters != 0)
+    bad_value("clusters", std::to_string(sc.n_clusters), want);
+  bad_value("budget", std::to_string(sc.budget),
+            want + "; clusters defaults from budget");
+}
+
+/// Planted flips and the lower-bound twin set draw `diameter` distinct
+/// objects among the world's n.
+void require_diameter_fits(const Scenario& sc) {
+  if (sc.diameter > sc.n)
+    bad_value("diameter", std::to_string(sc.diameter),
+              "at most n (" + std::to_string(sc.n) + ", the object count)");
+}
+
+void require_planted_fits(const Scenario& sc) {
+  require_groups_fit(sc, derived_clusters(sc));
+  require_diameter_fits(sc);
+}
+
 /// Churn probabilities: NaN and values outside [0, 1] are rejected.
 void require_probability(const std::string& key, double p) {
   if (!(p >= 0.0 && p <= 1.0))
@@ -216,6 +251,7 @@ void register_builtin_workloads(WorkloadRegistry& reg) {
   reg.add("planted",
           {"planted clusters: random centers, members flip <= diameter/2 bits",
            [](const Scenario& sc, Rng& rng, const ExecPolicy&) {
+             require_planted_fits(sc);
              return planted_clusters(sc.n, sc.n, derived_clusters(sc), sc.diameter,
                                      rng, sc.zipf_sizes);
            },
@@ -223,12 +259,17 @@ void register_builtin_workloads(WorkloadRegistry& reg) {
   reg.add("identical",
           {"identical preferences inside each cluster (ZeroRadius assumption)",
            [](const Scenario& sc, Rng& rng, const ExecPolicy&) {
+             require_groups_fit(sc, derived_clusters(sc));
              return identical_clusters(sc.n, sc.n, derived_clusters(sc), rng);
            },
            {}});
   reg.add("lower_bound",
           {"Claim 2 lower-bound instance: pivot + twin set, random on S",
            [](const Scenario& sc, Rng& rng, const ExecPolicy&) {
+             // The twin group holds the pivot and at least one twin.
+             if (sc.n < 2)
+               bad_value("n", std::to_string(sc.n), "at least 2 (a pivot and a twin)");
+             require_diameter_fits(sc);
              return lower_bound_instance(sc.n, sc.budget, sc.diameter, rng);
            },
            {}});
@@ -238,6 +279,16 @@ void register_builtin_workloads(WorkloadRegistry& reg) {
              const std::size_t links =
                  sc.n_clusters != 0 ? sc.n_clusters
                                     : std::max<std::size_t>(2, 2 * sc.budget);
+             if (links < 2)
+               bad_value("clusters", std::to_string(links),
+                         "at least 2 (chain links)");
+             require_groups_fit(sc, links);
+             // Consecutive links differ on `diameter` fresh objects.
+             if (sc.diameter > sc.n / links)
+               bad_value("diameter", std::to_string(sc.diameter),
+                         "at most n / links (" + std::to_string(sc.n) + " / " +
+                             std::to_string(links) +
+                             ") so the chain fits the object universe");
              return chained_clusters(sc.n, sc.n, links, sc.diameter, rng);
            },
            {}});
@@ -263,6 +314,7 @@ void register_builtin_workloads(WorkloadRegistry& reg) {
        "streamed neighbor graph's edge threshold",
        [](const Scenario& sc, Rng& rng, const ExecPolicy& policy) {
          const ChurnConfig config = churn_config_for(sc);
+         require_planted_fits(sc);
          World w = planted_clusters(sc.n, sc.n, derived_clusters(sc),
                                     sc.diameter, rng, sc.zipf_sizes);
          w.churn = run_churn(w.matrix, config, rng, policy);
@@ -686,10 +738,6 @@ World build_scenario_world(const Scenario& scenario,
                                                                  policy);
 }
 
-World build_scenario_world(const Scenario& scenario) {
-  return build_scenario_world(scenario, ExecPolicy::process_default());
-}
-
 Population build_scenario_population(const Scenario& scenario, const World& world) {
   Population pop(scenario.n);
   const AdversaryEntry& entry =
@@ -704,10 +752,6 @@ Population build_scenario_population(const Scenario& scenario, const World& worl
       std::min(scenario.dishonest, scenario.n - 1), rng,
       [&]() { return entry.make(scenario, world, victim); }, victim);
   return pop;
-}
-
-ExperimentOutcome run_scenario(const Scenario& scenario) {
-  return run_scenario(scenario, ExecPolicy::process_default());
 }
 
 ExperimentOutcome run_scenario(const Scenario& scenario,

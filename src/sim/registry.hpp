@@ -472,10 +472,9 @@ struct ExperimentOutcome {
 };
 
 /// Builds the world for `scenario` (deterministic in scenario.seed — also
-/// across policies: workload factories are schedule-independent). The
-/// one-argument form runs under the process-default policy.
-World build_scenario_world(const Scenario& scenario, const ExecPolicy& policy);
-World build_scenario_world(const Scenario& scenario);
+/// across policies: workload factories are schedule-independent).
+World build_scenario_world(const Scenario& scenario,
+                           const ExecPolicy& policy = ExecPolicy::serial());
 
 /// Installs the scenario's adversaries into a fresh population.
 Population build_scenario_population(const Scenario& scenario, const World& world);
@@ -483,10 +482,8 @@ Population build_scenario_population(const Scenario& scenario, const World& worl
 /// Runs one scenario end-to-end: world, population, algorithm, metrics.
 /// Every parallel loop in the run (protocols, metrics) executes under
 /// `policy`, and the calling thread is bound to one of the policy's
-/// workspace slots for the duration. The one-argument form runs under the
-/// process-default policy.
+/// workspace slots for the duration.
 ExperimentOutcome run_scenario(const Scenario& scenario,
-                               const ExecPolicy& policy);
-ExperimentOutcome run_scenario(const Scenario& scenario);
+                               const ExecPolicy& policy = ExecPolicy::serial());
 
 }  // namespace colscore

@@ -204,10 +204,8 @@ void SuiteRunner::execute(std::vector<SuiteRun>& runs) const {
   ExecPolicy policy = ExecPolicy::serial();
   if (options_.policy != nullptr) {
     policy = *options_.policy;
-  } else if (options_.threads == 0) {
-    policy = ExecPolicy::process_default();
-  } else if (options_.threads > 1) {
-    local_pool.emplace(options_.threads);
+  } else if (options_.threads != 1) {
+    local_pool.emplace(options_.threads);  // 0 => hardware_concurrency()
     policy = ExecPolicy::pool(*local_pool);
   }
 

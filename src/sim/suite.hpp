@@ -79,9 +79,9 @@ struct SuiteRun {
 };
 
 struct SuiteOptions {
-  /// Worker threads for the suite loop. 0 = the process-default policy (the
-  /// global pool, one thread per hardware thread); 1 = fully serial in the
-  /// calling thread. Ignored when `policy` is set.
+  /// Worker threads for the suite loop. 0 = a suite-owned pool of one
+  /// thread per hardware thread; 1 = fully serial in the calling thread;
+  /// N = a suite-owned pool of N threads. Ignored when `policy` is set.
   std::size_t threads = 0;
   /// Explicit execution policy for the suite loop and every run under it
   /// (overrides `threads`). Not owned; must outlive execute(). This is the

@@ -4,8 +4,9 @@
 // --grid give identical bytes on every text sink; --shard outputs
 // concatenate to the unsharded rows; --resume merges a fault-injected grid
 // artifact back to the clean bytes; a malformed numeric flag prints the
-// usage text instead of reaching the runner; and an invalid grid cell fails
-// the sweep at plan time.
+// usage text instead of reaching the runner; an invalid grid cell fails
+// the sweep at plan time; and a cell whose world cannot be built fails its
+// own row while the rest of the sweep runs.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -135,8 +136,8 @@ TEST(CliFrontEnd, NegativeThreadCountPrintsUsage) {
 }
 
 TEST(CliFrontEnd, OverCapThreadCountFailsByName) {
-  // The cap is checked while parsing arguments, before --threads resizes the
-  // process pool, so no worker is started for an over-cap count.
+  // The cap is checked while parsing arguments, before any pool is built,
+  // so no worker is started for an over-cap count.
   const CliResult result = cli("--threads 1025 --n 32 --budget 4 --no-opt");
   EXPECT_EQ(result.exit_code, 2) << result.err;
   EXPECT_NE(result.err.find("--threads must be at most 1024 (got 1025)"),
@@ -159,6 +160,27 @@ TEST(CliFrontEnd, ZeroBudgetFailsTheGridAtPlanTime) {
   EXPECT_FALSE(std::ifstream(out + ".tmp").is_open());
   std::remove(out.c_str());
   std::remove((out + ".tmp").c_str());
+}
+
+TEST(CliFrontEnd, WorkloadPreconditionFailsOnlyItsRow) {
+  // n=8 is below the default diameter 16: the planted generator cannot build
+  // that world. The cell must become a failed row naming the key while the
+  // n=64 cell still runs, not a CS_ASSERT abort that loses the whole sweep.
+  const CliResult result = cli(
+      "--grid 'n=8,64 x workload=planted' --no-opt --sink jsonl --threads 1");
+  EXPECT_EQ(result.exit_code, 1) << result.err;
+  EXPECT_EQ(result.err.find("assertion failed"), std::string::npos)
+      << result.err;
+  ASSERT_EQ(line_count(result.out), 2u) << result.out;
+  std::istringstream rows(result.out);
+  std::string small, large;
+  std::getline(rows, small);
+  std::getline(rows, large);
+  EXPECT_NE(small.find("\"n\":8,"), std::string::npos) << small;
+  EXPECT_NE(small.find("\"status\":\"failed\""), std::string::npos) << small;
+  EXPECT_NE(small.find("diameter"), std::string::npos) << small;
+  EXPECT_NE(large.find("\"n\":64,"), std::string::npos) << large;
+  EXPECT_NE(large.find("\"status\":\"ok\""), std::string::npos) << large;
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // PR 9 proof point for the ExecPolicy redesign: execution is fully explicit.
 // Two SuiteRunners on disjoint pools run concurrently and still produce
-// byte-identical JSONL to a serial run, because no state flows through the
-// ambient process pool; and each policy owns its workspace arena, so
+// byte-identical JSONL to a serial run, because no execution state is
+// process-wide; and each policy owns its workspace arena, so
 // concurrent suites never alias scratch buffers. The whole binary runs under
 // the tsan CI leg (COLSCORE_SAN=thread).
 #include <gtest/gtest.h>

@@ -17,6 +17,7 @@
 #include "src/model/generators.hpp"
 #include "src/protocols/env.hpp"
 #include "src/sim/registry.hpp"
+#include "tests/test_util.hpp"
 
 namespace colscore {
 namespace {
@@ -155,7 +156,8 @@ TEST(ProbePipeline, OwnProbeBitsHonestChargesDishonestPeeksFree) {
   ProbeOracle oracle(world.matrix);
   BulletinBoard board;
   HonestBeacon beacon(1);
-  ProtocolEnv env(oracle, board, pop, beacon);
+  ProtocolEnv env(oracle, board, pop, beacon, 0x10ca1ULL,
+                  testutil::pool_policy());
 
   std::vector<ObjectId> scattered{3, 9, 4, 20};
   std::vector<ObjectId> contiguous{8, 9, 10, 11, 12};
@@ -290,7 +292,8 @@ TEST(ProbePipeline, ProbeMemoDishonestAndUnreadAreFree) {
   ProbeOracle oracle(world.matrix);
   BulletinBoard board;
   HonestBeacon beacon(1);
-  ProtocolEnv env(oracle, board, pop, beacon);
+  ProtocolEnv env(oracle, board, pop, beacon, 0x10ca1ULL,
+                  testutil::pool_policy());
   const std::vector<ObjectId> objects{7, 90, 3, 41, 41, 12};
   std::uint64_t truth5 = 0;
   for (std::size_t c = 0; c < objects.size(); ++c)
@@ -378,7 +381,7 @@ TEST(ProbePipeline, ProbeMemoHardBudgetChargesTheWholeBill) {
 std::uint64_t charge_hash(const char* spec_text) {
   const ExecPolicy policy = ExecPolicy::serial();
   const Scenario sc = Scenario::resolve(ScenarioSpec::parse(spec_text));
-  const World world = build_scenario_world(sc);
+  const World world = build_scenario_world(sc, testutil::pool_policy());
   const Population pop = build_scenario_population(sc, world);
   ProbeOracle oracle(world.matrix);
   oracle.bind_policy(policy);

@@ -118,6 +118,63 @@ TEST(Scenario, ResolveRejectsAZeroBudget) {
   EXPECT_EQ(Scenario::resolve(ScenarioSpec::parse("budget=1")).budget, 1u);
 }
 
+TEST(Scenario, ResolveRejectsZeroRepeatAndFinalistCounts) {
+  // SmallRadius asserts a candidate per repeat (sr_repeats, the robust
+  // wrapper's reps) and a finalist to play (sr_max_finalists); resolve must
+  // reject a zero at plan time, as it does budget=0.
+  for (const char* spec :
+       {"sr_repeats=0", "algorithm=robust reps=0", "sr_max_finalists=0"}) {
+    try {
+      (void)Scenario::resolve(ScenarioSpec::parse(spec));
+      ADD_FAILURE() << spec << ": expected ScenarioError";
+    } catch (const ScenarioError& e) {
+      const std::string msg = e.what();
+      const std::string key = std::string(spec).substr(
+          std::string(spec).rfind(' ') + 1);  // the "key=0" token
+      EXPECT_NE(msg.find("'" + key + "': expected a positive integer"),
+                std::string::npos)
+          << msg;
+    }
+  }
+  const Scenario ones = Scenario::resolve(ScenarioSpec::parse(
+      "algorithm=robust reps=1 sr_repeats=1 sr_max_finalists=1"));
+  EXPECT_EQ(ones.robust_outer_reps, 1u);
+  EXPECT_EQ(ones.params.sr_repeats, 1u);
+  EXPECT_EQ(ones.params.sr_max_finalists, 1u);
+}
+
+TEST(Registry, WorkloadPreconditionsFailByKeyNotByAbort) {
+  // Each spec breaks a generator precondition. The workload factory must
+  // reject it with a ScenarioError naming the key behind it (clusters, or
+  // budget when clusters defaults from it), so a sweep records one failed
+  // row instead of aborting.
+  const struct {
+    const char* spec;
+    const char* names;
+  } cases[] = {
+      {"workload=planted n=8", "'diameter=16'"},
+      {"workload=churn n=8", "'diameter=16'"},
+      {"workload=planted n=16 diameter=4 clusters=17", "'clusters=17'"},
+      {"workload=identical n=2 budget=8", "'budget=8'"},
+      {"workload=identical n=16 budget=100", "'budget=100'"},
+      {"workload=chained n=8", "'budget=8'"},
+      {"workload=chained clusters=1", "'clusters=1'"},
+      {"workload=chained n=64 budget=4", "'diameter=16'"},
+      {"workload=lower_bound n=4 diameter=8", "'diameter=8'"},
+      {"workload=lower_bound n=1 diameter=0", "'n=1'"},
+  };
+  for (const auto& c : cases) {
+    const Scenario sc = Scenario::resolve(ScenarioSpec::parse(c.spec));
+    try {
+      (void)build_scenario_world(sc);
+      ADD_FAILURE() << c.spec << ": expected ScenarioError";
+    } catch (const ScenarioError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.names), std::string::npos)
+          << c.spec << ": " << e.what();
+    }
+  }
+}
+
 TEST(Scenario, PaperParamsExpandThenRefine) {
   const Scenario sc = Scenario::resolve(
       ScenarioSpec::parse("paper_params=1 budget=4 vote_min=13"));

@@ -22,6 +22,7 @@
 #include "src/common/thread_pool.hpp"
 #include "src/model/generators.hpp"
 #include "src/protocols/select.hpp"
+#include "tests/test_util.hpp"
 
 namespace colscore {
 namespace {
@@ -40,7 +41,7 @@ struct Stack {
   explicit Stack(const World& world,
                  ProbeOracle::BudgetMode mode = ProbeOracle::BudgetMode::kTrack,
                  std::uint64_t budget = 0,
-                 const ExecPolicy& policy = ExecPolicy::process_default())
+                 const ExecPolicy& policy = testutil::pool_policy())
       : population(world.n_players()),
         oracle(world.matrix, mode, budget),
         env(oracle, board, population, beacon, 0x5e1ec7ULL, policy) {

@@ -20,6 +20,7 @@
 #include "src/model/generators.hpp"
 #include "src/sim/churn.hpp"
 #include "src/sim/registry.hpp"
+#include "tests/test_util.hpp"
 
 namespace colscore {
 namespace {
@@ -159,7 +160,7 @@ TEST(Stream, LargeBatchFallsBackToRebuildAndStaysExact) {
       world.rows[p].flip(rng.below(kDim));
       batch.push_back({p, UpdateKind::kFlip});
     }
-    const GraphDelta delta = graph.apply_updates(batch, z);
+    const GraphDelta delta = graph.apply_updates(batch, z, testutil::pool_policy());
     EXPECT_TRUE(delta.rebuilt);
     expect_matches_fresh(graph, world, backend, "rebuild fallback");
 
@@ -167,7 +168,7 @@ TEST(Stream, LargeBatchFallsBackToRebuildAndStaysExact) {
     // exact against the rebuilt state.
     world.rows[1].flip(rng.below(kDim));
     const RowUpdate single[] = {{1, UpdateKind::kFlip}};
-    const GraphDelta d2 = graph.apply_updates(single, z);
+    const GraphDelta d2 = graph.apply_updates(single, z, testutil::pool_policy());
     EXPECT_FALSE(d2.rebuilt);
     expect_matches_fresh(graph, world, backend, "post-rebuild increment");
   }
@@ -184,7 +185,7 @@ TEST(Stream, DepartureDropsAllEdgesAndArrivalRestoresThem) {
 
     world.alive.set(3, false);
     const RowUpdate depart[] = {{3, UpdateKind::kDepart}};
-    const GraphDelta gone = graph.apply_updates(depart, z);
+    const GraphDelta gone = graph.apply_updates(depart, z, testutil::pool_policy());
     EXPECT_EQ(gone.edges_removed, degree_before);
     EXPECT_EQ(gone.edges_added, 0u);
     EXPECT_FALSE(graph.is_alive(3));
@@ -195,7 +196,7 @@ TEST(Stream, DepartureDropsAllEdgesAndArrivalRestoresThem) {
 
     world.alive.set(3, true);
     const RowUpdate arrive[] = {{3, UpdateKind::kArrive}};
-    const GraphDelta back = graph.apply_updates(arrive, z);
+    const GraphDelta back = graph.apply_updates(arrive, z, testutil::pool_policy());
     EXPECT_EQ(back.edges_added, degree_before);
     EXPECT_EQ(graph.degree(3), degree_before);
     expect_matches_fresh(graph, world, backend, "after re-arrival");
@@ -210,7 +211,7 @@ TEST(Stream, SessionReclustersOnlyOnDirtyEpochs) {
   const std::vector<std::uint32_t> initial = session.clustering().cluster_of;
 
   // Empty batch: nothing changed, the peel must not re-run.
-  const StreamEpochStats idle = session.apply_epoch({});
+  const StreamEpochStats idle = session.apply_epoch({}, testutil::pool_policy());
   EXPECT_FALSE(idle.reclustered);
   EXPECT_EQ(session.clustering().cluster_of, initial);
   EXPECT_EQ(session.totals().reclusters, 0u);
@@ -219,7 +220,7 @@ TEST(Stream, SessionReclustersOnlyOnDirtyEpochs) {
   // and the result equals a from-scratch clustering of the current graph.
   for (std::size_t b = 0; b < kDim; b += 2) world.rows[0].flip(b);
   const RowUpdate batch[] = {{0, UpdateKind::kFlip}};
-  const StreamEpochStats moved = session.apply_epoch(batch);
+  const StreamEpochStats moved = session.apply_epoch(batch, testutil::pool_policy());
   EXPECT_TRUE(moved.reclustered);
   EXPECT_GT(moved.edges_added + moved.edges_removed, 0u);
   const Clustering fresh =
@@ -266,7 +267,7 @@ TEST(Stream, ChurnWorkloadPublishesItsMetrics) {
   const Scenario sc = Scenario::resolve(ScenarioSpec::parse(
       "workload=churn n=64 budget=4 diameter=8 seed=9 opt=0 epochs=6 "
       "flip_rate=0.05 depart=0.1 arrive=0.5"));
-  const ExperimentOutcome out = run_scenario(sc);
+  const ExperimentOutcome out = run_scenario(sc, testutil::pool_policy());
 
   const auto find = [&](const char* key) -> const MetricValue* {
     for (const auto& [k, v] : out.entry_metrics)
@@ -288,7 +289,7 @@ TEST(Stream, ChurnWorkloadPublishesItsMetrics) {
   ASSERT_NE(find("stream_departures"), nullptr);
 
   // Same scenario, same seed: the whole drift trajectory must replay.
-  const ExperimentOutcome again = run_scenario(sc);
+  const ExperimentOutcome again = run_scenario(sc, testutil::pool_policy());
   ASSERT_EQ(out.entry_metrics.size(), again.entry_metrics.size());
   for (std::size_t i = 0; i < out.entry_metrics.size(); ++i) {
     EXPECT_EQ(out.entry_metrics[i].first, again.entry_metrics[i].first);
@@ -305,7 +306,8 @@ TEST(Stream, ChurnStreamTauZeroKeepsTheDerivedThreshold) {
       "flip_rate=0.05";
   const auto run = [&](const std::string& extra) {
     return run_scenario(
-        Scenario::resolve(ScenarioSpec::parse(base + " " + extra)));
+        Scenario::resolve(ScenarioSpec::parse(base + " " + extra)),
+        testutil::pool_policy());
   };
   const auto edges_changed = [](const ExperimentOutcome& out) {
     for (const auto& [k, v] : out.entry_metrics)
@@ -375,7 +377,7 @@ TEST(Stream, FixedSeedGoldenFingerprint) {
     NeighborGraph graph(z, kTau, backend, ExecPolicy::serial());
     Rng rng(31337);
     for (std::size_t e = 0; e < 10; ++e)
-      graph.apply_updates(world.epoch(rng), z);
+      graph.apply_updates(world.epoch(rng), z, testutil::pool_policy());
     std::uint64_t h = 1469598103934665603ull;  // FNV-1a over the end state
     const auto mix = [&h](std::uint64_t v) {
       h = (h ^ v) * 1099511628211ull;

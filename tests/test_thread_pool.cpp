@@ -87,7 +87,6 @@ TEST(ThreadPool, PoolPolicyReportsWorkerCount) {
   ThreadPool pool(2);
   EXPECT_EQ(ExecPolicy::pool(pool).worker_count(), 2u);
   EXPECT_EQ(ExecPolicy::serial().worker_count(), 1u);
-  EXPECT_GE(ExecPolicy::process_default().worker_count(), 1u);
 }
 
 TEST(ThreadPool, PolicyParForRunsEveryIndex) {

@@ -7,10 +7,21 @@
 #include <string>
 #include <vector>
 
+#include "src/common/thread_pool.hpp"
 #include "src/model/generators.hpp"
 #include "src/protocols/env.hpp"
 
 namespace colscore::testutil {
+
+/// A policy over one test-process pool of hardware_concurrency() threads, so
+/// protocol tests run their loops multi-worker (the TSan leg relies on it).
+/// Outputs are policy-independent, so a test that needs serial charging
+/// passes ExecPolicy::serial() instead.
+inline const ExecPolicy& pool_policy() {
+  static ThreadPool pool(0);
+  static const ExecPolicy policy = ExecPolicy::pool(pool);
+  return policy;
+}
 
 /// Splits one CSV line on commas (no quoting — the golden rows contain
 /// none), keeping trailing empty cells (the golden row ends with an empty
@@ -50,7 +61,7 @@ struct Harness {
   ProtocolEnv env;
 
   Harness(World w, std::uint64_t seed = 0xbeac0ULL,
-          const ExecPolicy& policy = ExecPolicy::process_default())
+          const ExecPolicy& policy = pool_policy())
       : world(std::move(w)),
         population(world.n_players()),
         oracle(world.matrix),

@@ -235,10 +235,6 @@ int run(int argc, char** argv) {
         throw ScenarioError("--threads must be at most " +
                             std::to_string(ThreadPool::kMaxThreads) + " (got " +
                             std::to_string(threads) + ")");
-      // --threads also sizes the process-default policy, so default-argument
-      // code paths (ExecPolicy::process_default) agree with the suite
-      // policy. This is the one sanctioned reset_global call site (CL012).
-      ThreadPool::reset_global(threads);
       runner_flags.push_back(
           [threads](SuiteFile& f) { f.options.threads = threads; });
     } else if (arg == "--retries") {

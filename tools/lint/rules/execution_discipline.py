@@ -1,16 +1,16 @@
 """CL012: no ambient execution state in library code.
 
 PR 9 threaded an explicit ExecPolicy through every parallel loop: a policy
-names where a loop runs (serial, or a specific pool) and owns the workspace
-arena its workers bind, which is what lets two SuiteRunners on disjoint
-pools execute concurrently and still emit byte-identical rows.  The ambient
-spellings -- ThreadPool::global(), the free parallel_for shim,
-RunWorkspace::current() -- reach that state through process globals instead,
-silently re-coupling concurrent suites and bypassing policy-owned scratch.
-Library code must take an ExecPolicy (usually via ProtocolEnv) and use
-policy.par_for / policy.workspace(); the ambient forms survive only in the
-files that define them and in the CLI entry point, which sizes the process
-default exactly once.
+names where a loop runs (serial, or a pool its caller owns) and owns the
+workspace arena its workers bind, which is what lets two SuiteRunners on
+disjoint pools execute concurrently and still emit byte-identical rows.
+There is no process-wide pool; the ambient spellings --
+ThreadPool::global(), a free parallel_for, RunWorkspace::current() -- would
+reach execution state through process globals instead, silently re-coupling
+concurrent suites and bypassing policy-owned scratch.  The rule keeps all
+three from coming back: library code takes an ExecPolicy (usually via
+ProtocolEnv) and uses policy.par_for / policy.workspace(); the per-thread
+workspace fallback survives only in the files that define it.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ def _check_ambient_execution(sf: SourceFile,
         if tok.text == "global" and qual == "ThreadPool" and nxt == "(":
             out.append(make_diag(
                 RULE_AMBIENT_EXECUTION, sf, tok.line, tok.col,
-                "ThreadPool::global() in library code; take an ExecPolicy "
-                "(ExecPolicy::pool(...) / ExecPolicy::process_default() at "
-                "the entry point) so callers control where loops run"))
+                "ThreadPool::global() in library code; there is no "
+                "process-wide pool -- take an ExecPolicy (ExecPolicy::serial() "
+                "or ExecPolicy::pool(...) over a pool the caller owns) so "
+                "callers control where loops run"))
         elif tok.text == "parallel_for" and nxt == "(" \
                 and prv not in (".", "->", "::"):
             out.append(make_diag(
@@ -61,7 +62,7 @@ RULE_AMBIENT_EXECUTION = Rule(
                 "(policy.par_for / policy.workspace), keeping concurrent "
                 "suites on disjoint pools fully independent.",
     hint="thread a 'const ExecPolicy&' parameter (default "
-         "ExecPolicy::process_default()) down to the loop, or use the "
+         "ExecPolicy::serial()) down to the loop, or use the "
          "ProtocolEnv's policy via env.par_for / env.workspace()",
     check=_check_ambient_execution,
     scope=("src/",),
