@@ -1,8 +1,26 @@
 #include "src/board/bulletin_board.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace colscore {
+
+namespace {
+
+[[noreturn]] void no_log(const char* reader) {
+  throw std::logic_error(std::string("BulletinBoard::") + reader +
+                         ": a kCounts board keeps no log; construct the board "
+                         "with BoardRetention::kFull to read posts back");
+}
+
+}  // namespace
+
+BulletinBoard::BulletinBoard(BoardRetention retention)
+    : retention_(retention),
+      report_log_(retention == BoardRetention::kFull
+                      ? std::make_unique<ReportShard[]>(kShards)
+                      : nullptr) {}
 
 void BulletinBoard::post_report(std::uint64_t tag, PlayerId author, ObjectId object,
                                 bool value) {
@@ -13,17 +31,20 @@ void BulletinBoard::post_report(std::uint64_t tag, PlayerId author, ObjectId obj
 void BulletinBoard::post_reports(std::uint64_t tag,
                                  std::span<const ProbeReport> reports) {
   if (reports.empty()) return;
-  ReportShard& shard = report_shards_[tag % kShards];
-  std::lock_guard lock(shard.mutex);
-  auto& channel = shard.by_tag[tag];
-  // insert grows the arena geometrically; an exact reserve per block would
-  // make a run of blocks quadratic.
-  channel.insert(channel.end(), reports.begin(), reports.end());
+  if (report_log_ != nullptr) {
+    ReportShard& shard = report_log_[tag % kShards];
+    std::lock_guard lock(shard.mutex);
+    auto& channel = shard.by_tag[tag];
+    // insert grows the arena geometrically; an exact reserve per block would
+    // make a run of blocks quadratic.
+    channel.insert(channel.end(), reports.begin(), reports.end());
+  }
   report_count_.fetch_add(reports.size(), std::memory_order_relaxed);
 }
 
 std::vector<ProbeReport> BulletinBoard::reports_for(std::uint64_t tag,
                                                     ObjectId object) const {
+  if (report_log_ == nullptr) no_log("reports_for");
   std::vector<ProbeReport> out;
   for (const ProbeReport& r : all_reports(tag))
     if (r.object == object) out.push_back(r);
@@ -31,9 +52,10 @@ std::vector<ProbeReport> BulletinBoard::reports_for(std::uint64_t tag,
 }
 
 std::vector<ProbeReport> BulletinBoard::all_reports(std::uint64_t tag) const {
+  if (report_log_ == nullptr) no_log("all_reports");
   std::vector<ProbeReport> out;
   {
-    const ReportShard& shard = report_shards_[tag % kShards];
+    const ReportShard& shard = report_log_[tag % kShards];
     std::lock_guard lock(shard.mutex);
     auto it = shard.by_tag.find(tag);
     if (it != shard.by_tag.end()) out = it->second;
@@ -62,6 +84,7 @@ BulletinBoard::VectorChannelWriter BulletinBoard::vector_channel(std::uint64_t t
 }
 
 std::vector<VectorPost> BulletinBoard::vectors(std::uint64_t tag) const {
+  if (retention_ != BoardRetention::kFull) no_log("vectors");
   const VectorShard& shard = vector_shards_[tag % kShards];
   std::lock_guard lock(shard.mutex);
   std::vector<VectorPost> out;
@@ -74,12 +97,12 @@ std::vector<VectorPost> BulletinBoard::vectors(std::uint64_t tag) const {
   return out;
 }
 
-std::vector<BulletinBoard::SupportedVector> BulletinBoard::vectors_by_support(
-    std::uint64_t tag) const {
+std::vector<BulletinBoard::SupportedVector> BulletinBoard::take_support(
+    std::uint64_t tag) {
   // Count support in place under the shard lock: rows are hashed and
   // compared inside the packed store, and only the distinct vectors are
   // copied out.
-  const VectorShard& shard = vector_shards_[tag % kShards];
+  VectorShard& shard = vector_shards_[tag % kShards];
   std::lock_guard lock(shard.mutex);
   auto it = shard.by_tag.find(tag);
   if (it == shard.by_tag.end()) return {};
@@ -126,6 +149,9 @@ std::vector<BulletinBoard::SupportedVector> BulletinBoard::vectors_by_support(
       out.push_back(SupportedVector{BitVector(row), 1});
     }
   }
+  // The channel was read: free its store, so the next publication reuses
+  // the memory instead of adding to it.
+  if (retention_ == BoardRetention::kCounts) shard.by_tag.erase(it);
   std::stable_sort(out.begin(), out.end(),
                    [](const SupportedVector& a, const SupportedVector& b) {
                      return a.support > b.support;

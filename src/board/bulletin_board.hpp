@@ -8,13 +8,26 @@
 //   * vector posts    — "player a claims its preference vector (for the
 //                        object set identified by the channel tag) is w"
 // Channels are identified by 64-bit tags derived from protocol phase keys.
-// Each channel is one flat append-only store in posting order, and the
-// running counts are charged once per block: per post_reports call, and
-// when a VectorChannelWriter closes.
+//
+// Retention. The board is a medium, not an archive: no protocol reads a
+// probe report back, and each vector channel is read exactly once, by the
+// support count that follows its publication. So the default board
+// (BoardRetention::kCounts) keeps counts, not posts:
+//   * a probe report only adds to report_count();
+//   * a vector channel is one flat append-only store in posting order until
+//     take_support() ranks it, and then it is freed.
+// report_count() and vector_count() are exact on every board, and the
+// support ranking does not depend on retention. BoardRetention::kFull also
+// keeps every report and leaves each vector channel in place after its
+// support read, so the log readers (all_reports, reports_for, vectors) work;
+// it is the reference tests compare the counts board against, and nothing in
+// the library builds one. On a counts board the log readers throw
+// std::logic_error rather than return an empty log.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <unordered_map>
@@ -32,26 +45,33 @@ struct VectorPost {
   BitVector vector;
 };
 
+/// What a board keeps of its posts (see the header comment).
+enum class BoardRetention {
+  kCounts,  // report counts, and vector channels until their support read
+  kFull,    // every post, for as long as the board lives (tests only)
+};
+
 class BulletinBoard {
  public:
-  BulletinBoard() = default;
+  explicit BulletinBoard(BoardRetention retention = BoardRetention::kCounts);
   BulletinBoard(const BulletinBoard&) = delete;
   BulletinBoard& operator=(const BulletinBoard&) = delete;
 
   // ---- probe-report channel -------------------------------------------
   void post_report(std::uint64_t tag, PlayerId author, ObjectId object, bool value);
 
-  /// Appends `reports` to channel `tag` in order — board state identical to
-  /// post_report in a loop, but one lock acquisition and one count update
-  /// for the whole block (voting posts a cluster's votes at once).
+  /// Posts `reports` to channel `tag` in order — board state identical to
+  /// post_report in a loop, but one count update (and, on a kFull board,
+  /// one lock acquisition) for the whole block: voting posts a cluster's
+  /// votes at once.
   void post_reports(std::uint64_t tag, std::span<const ProbeReport> reports);
 
   /// All reports about `object` on channel `tag` (posting order). Filters
-  /// the whole channel: a cold path for tests.
+  /// the whole channel. kFull only.
   std::vector<ProbeReport> reports_for(std::uint64_t tag, ObjectId object) const;
 
   /// All reports on channel `tag` (ascending object id; posting order
-  /// within an object).
+  /// within an object). kFull only.
   std::vector<ProbeReport> all_reports(std::uint64_t tag) const;
 
   // ---- vector channel ---------------------------------------------------
@@ -62,9 +82,9 @@ class BulletinBoard {
   void post_vector(std::uint64_t tag, PlayerId author, ConstBitRow vector);
 
  private:
-  // One vector channel as packed columns. The board is append-only, so every
-  // post stays resident until the board dies and the layout sets a run's
-  // memory floor: a post costs its author id plus word_count(width) words
+  // One vector channel as packed columns. A channel is resident from its
+  // first post to its support read, so the layout sets the peak of one
+  // publication: a post costs its author id plus word_count(width) words
   // (12 bytes for 64 bits or fewer) instead of a 40-byte VectorPost. Row i
   // occupies words[i * stride(), (i + 1) * stride()).
   struct VectorChannel {
@@ -129,17 +149,19 @@ class BulletinBoard {
   VectorChannelWriter vector_channel(std::uint64_t tag);
 
   /// All vector posts on channel `tag` in posting order, copied out of the
-  /// packed store (a cold path: the protocols read support counts instead).
+  /// packed store. kFull only: the protocols read support counts instead.
   std::vector<VectorPost> vectors(std::uint64_t tag) const;
 
   /// Distinct vectors on channel `tag` with their support counts, most
   /// supported first (ties by first appearance). The core voting primitive
-  /// of ZeroRadius step 4.
+  /// of ZeroRadius step 4. The read consumes the channel on a kCounts board:
+  /// its store is freed, and a second call returns nothing. A kFull board
+  /// leaves the channel readable.
   struct SupportedVector {
     BitVector vector;
     std::size_t support = 0;
   };
-  std::vector<SupportedVector> vectors_by_support(std::uint64_t tag) const;
+  std::vector<SupportedVector> take_support(std::uint64_t tag);
 
   // ---- accounting ---------------------------------------------------------
   std::uint64_t report_count() const;
@@ -156,10 +178,11 @@ class BulletinBoard {
     std::unordered_map<std::uint64_t, VectorChannel> by_tag;
   };
 
-  ReportShard report_shards_[kShards];
+  const BoardRetention retention_;
+  // The report log: kShards shards on a kFull board, null on a kCounts one.
+  std::unique_ptr<ReportShard[]> report_log_;
   VectorShard vector_shards_[kShards];
-  // Running totals so the per-run accounting reads are O(1) instead of a
-  // full walk over every shard bucket.
+  // Running totals, exact under either retention.
   std::atomic<std::uint64_t> report_count_{0};
   std::atomic<std::uint64_t> vector_count_{0};
 };

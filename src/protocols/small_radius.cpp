@@ -116,7 +116,7 @@ SmallRadiusResult small_radius(std::span<const PlayerId> players,
                                                  sub_objects, rctx, prng));
         }
       }
-      auto supported = env.board.vectors_by_support(channel);
+      auto supported = env.board.take_support(channel);
       std::vector<BitVector> ui;
       for (auto& sv : supported) {
         if (sv.support >= support_threshold) ui.push_back(std::move(sv.vector));

@@ -158,7 +158,7 @@ void cross_adopt(std::span<const PlayerId> learners,
     }
   }
 
-  auto supported = ctx.env.board.vectors_by_support(channel);
+  auto supported = ctx.env.board.take_support(channel);
   const auto threshold = static_cast<std::size_t>(
       std::max(2.0, std::floor(static_cast<double>(publishers.size()) /
                                (kSupportDivisor *

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <sstream>
 #include <unordered_set>
 
@@ -55,9 +56,16 @@ std::string format_double(double v) {
 
 // ---- override keys ----------------------------------------------------------
 
+/// The values a Params double accepts. A rate, divisor or scale at zero (or
+/// a fraction outside (0, 1]) switches its protocol step off without an
+/// error, and a negative count factor casts to a garbage count, so such a
+/// value fails at resolve().
+enum class DoubleRange { kAny, kNonNegative, kPositive, kFraction };
+
 struct ParamsDoubleField {
   const char* key;
   double Params::*member;
+  DoubleRange range = DoubleRange::kAny;
 };
 struct ParamsSizeField {
   const char* key;
@@ -66,16 +74,17 @@ struct ParamsSizeField {
 };
 
 constexpr ParamsDoubleField kParamsDoubleFields[] = {
-    {"sample_rate_c", &Params::sample_rate_c},
+    {"sample_rate_c", &Params::sample_rate_c, DoubleRange::kPositive},
     {"sr_diameter_c", &Params::sr_diameter_c},
-    {"sr_subset_scale", &Params::sr_subset_scale},
+    {"sr_subset_scale", &Params::sr_subset_scale, DoubleRange::kPositive},
     {"sr_subset_exponent", &Params::sr_subset_exponent},
-    {"sr_support_divisor", &Params::sr_support_divisor},
-    {"graph_tau_c", &Params::graph_tau_c},
-    {"graph_tau_sample_frac", &Params::graph_tau_sample_frac},
+    {"sr_support_divisor", &Params::sr_support_divisor, DoubleRange::kPositive},
+    {"graph_tau_c", &Params::graph_tau_c, DoubleRange::kPositive},
+    {"graph_tau_sample_frac", &Params::graph_tau_sample_frac,
+     DoubleRange::kFraction},
     {"cluster_slack", &Params::cluster_slack},
-    {"vote_c", &Params::vote_c},
-    {"rselect_c", &Params::rselect_c},
+    {"vote_c", &Params::vote_c, DoubleRange::kNonNegative},
+    {"rselect_c", &Params::rselect_c, DoubleRange::kPositive},
     {"easy_case_factor", &Params::easy_case_factor},
 };
 
@@ -124,7 +133,15 @@ bool apply_params_override(Params& params, const std::string& key,
                            const std::string& value) {
   for (const auto& f : kParamsDoubleFields)
     if (key == f.key) {
-      params.*(f.member) = parse_double(key, value);
+      const double v = parse_double(key, value);
+      // Each test is written so that NaN fails it.
+      if (f.range == DoubleRange::kNonNegative && !(v >= 0 && std::isfinite(v)))
+        bad_value(key, value, "a finite number at least 0");
+      if (f.range == DoubleRange::kPositive && !(v > 0 && std::isfinite(v)))
+        bad_value(key, value, "a finite number above 0");
+      if (f.range == DoubleRange::kFraction && !(v > 0 && v <= 1))
+        bad_value(key, value, "a fraction in (0, 1]");
+      params.*(f.member) = v;
       return true;
     }
   for (const auto& f : kParamsSizeFields)
@@ -636,6 +653,12 @@ Scenario Scenario::resolve(const ScenarioSpec& spec) {
   // Pass 2: Params fields refine whichever preset is active.
   for (const auto* kv : params_overrides)
     apply_params_override(sc.params, kv->first, kv->second);
+  // Votes per object = max(vote_min, vote_c * log2 n): with both at zero
+  // work sharing casts no vote and a coin decides every object.
+  // (vote_c is already known to be at least 0.)
+  if (sc.params.vote_min == 0 && sc.params.vote_c == 0)
+    throw ScenarioError("overrides 'vote_min=0' and 'vote_c=0' leave work "
+                        "sharing no votes per object; raise either above 0");
   return sc;
 }
 

@@ -107,7 +107,10 @@ struct Scenario {
   /// built-in (scenario_override_keys) or declared in one of the resolved
   /// entries' param schemas; schema-typed values are validated here, and the
   /// error names the owning entry and the offending key. Unknown names or
-  /// override keys throw ScenarioError listing the accepted ones.
+  /// override keys throw ScenarioError listing the accepted ones. So does a
+  /// Params value that would switch a protocol step off: a rate, divisor or
+  /// scale that is not a finite number above 0, a fraction outside (0, 1],
+  /// or vote_c=0 with vote_min=0 (no votes per object).
   static Scenario resolve(const ScenarioSpec& spec);
 
   /// The spec that resolves back to this scenario (canonical names, every

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "src/board/bulletin_board.hpp"
@@ -67,7 +69,7 @@ TEST(ProbeOracle, ConcurrentProbesCountExactly) {
 }
 
 TEST(BulletinBoard, ReportRoundTrip) {
-  BulletinBoard board;
+  BulletinBoard board(BoardRetention::kFull);
   board.post_report(1, 10, 5, true);
   board.post_report(1, 11, 5, false);
   board.post_report(2, 12, 5, true);  // different channel
@@ -87,7 +89,7 @@ TEST(BulletinBoard, ReportRoundTrip) {
 TEST(BulletinBoard, AppendOnlyPreservesHonestRecords) {
   // A dishonest player posting to the same channel/object cannot alter the
   // honest entry — there is no mutation API, and records keep their author.
-  BulletinBoard board;
+  BulletinBoard board(BoardRetention::kFull);
   board.post_report(7, /*author=*/1, /*object=*/3, true);
   board.post_report(7, /*author=*/666, /*object=*/3, false);
   const auto reports = board.reports_for(7, 3);
@@ -97,7 +99,7 @@ TEST(BulletinBoard, AppendOnlyPreservesHonestRecords) {
 }
 
 TEST(BulletinBoard, VectorChannel) {
-  BulletinBoard board;
+  BulletinBoard board(BoardRetention::kFull);
   BitVector v(8);
   v.set(3, true);
   board.post_vector(42, 0, v);
@@ -109,7 +111,7 @@ TEST(BulletinBoard, VectorChannel) {
   ASSERT_EQ(posts.size(), 3u);
   EXPECT_EQ(board.vector_count(), 3u);
 
-  const auto by_support = board.vectors_by_support(42);
+  const auto by_support = board.take_support(42);
   ASSERT_EQ(by_support.size(), 2u);
   EXPECT_EQ(by_support[0].support, 2u);
   EXPECT_EQ(by_support[0].vector, v);
@@ -123,7 +125,7 @@ TEST(BulletinBoard, VectorChannel) {
 // invisible to readers.
 
 TEST(BulletinBoard, PackedChannelKeepsPostingOrderAcrossWriters) {
-  BulletinBoard board;
+  BulletinBoard board(BoardRetention::kFull);
   Rng rng(0x9ac4);
   std::vector<BitVector> posted;
   for (int i = 0; i < 6; ++i) posted.push_back(random_bitvector(70, rng));
@@ -152,7 +154,7 @@ TEST(BulletinBoard, PackedChannelKeepsPostingOrderAcrossWriters) {
 TEST(BulletinBoard, PackedChannelRoundTripsEveryWidth) {
   // 0/1/64 bits fit one (or no) word, 65 and 192 the inline BitVector form,
   // 193 and 2048 its heap form; each width gets its own channel.
-  BulletinBoard board;
+  BulletinBoard board(BoardRetention::kFull);
   Rng rng(0x3d1);
   std::uint64_t expected_count = 0;
   for (const std::size_t width : {0u, 1u, 64u, 65u, 192u, 193u, 2048u}) {
@@ -175,7 +177,7 @@ TEST(BulletinBoard, PackedChannelRoundTripsEveryWidth) {
       EXPECT_EQ(posts[i].vector.to_string(), posted[i].to_string())
           << "width " << width << " post " << i;
     }
-    const auto ranked = board.vectors_by_support(tag);
+    const auto ranked = board.take_support(tag);
     ASSERT_FALSE(ranked.empty());
     EXPECT_EQ(ranked.front().vector, posted[1]) << "width " << width;
     std::size_t support = 0;
@@ -204,7 +206,7 @@ TEST(BulletinBoard, SupportTieBreaksByFirstAppearance) {
     for (std::size_t i = 0; i < order.size(); ++i)
       board.post_vector(9, static_cast<PlayerId>(i), order[i]);
 
-    const auto ranked = board.vectors_by_support(9);
+    const auto ranked = board.take_support(9);
     ASSERT_EQ(ranked.size(), pool.size());
     EXPECT_EQ(ranked[0].vector, c);
     EXPECT_EQ(ranked[1].vector, a);
@@ -236,7 +238,7 @@ TEST(BulletinBoard, PackedChannelRejectsWidthMismatch) {
 }
 
 TEST(BulletinBoard, AllReportsCollectsChannel) {
-  BulletinBoard board;
+  BulletinBoard board(BoardRetention::kFull);
   for (ObjectId o = 0; o < 10; ++o) board.post_report(9, 0, o, o % 2 == 0);
   const auto all = board.all_reports(9);
   EXPECT_EQ(all.size(), 10u);
@@ -246,7 +248,7 @@ TEST(BulletinBoard, AllReportsCollectsChannel) {
 // interleave exactly as posted, and all_reports orders by object without
 // reordering within an object.
 TEST(BulletinBoard, ReportBlocksKeepPostingOrder) {
-  BulletinBoard board;
+  BulletinBoard board(BoardRetention::kFull);
   constexpr std::uint64_t kTag = 11;
   constexpr std::uint64_t kTwin = kTag + 64;  // same shard, other channel
   std::vector<ProbeReport> expected;
@@ -308,8 +310,8 @@ TEST(BulletinBoard, ReportBlocksKeepPostingOrder) {
 // charges nothing and the moved-to one charges every post made through
 // either.
 TEST(BulletinBoard, VectorCountLandsWhenWriterCloses) {
-  BulletinBoard board;
-  BulletinBoard reference;
+  BulletinBoard board(BoardRetention::kFull);
+  BulletinBoard reference(BoardRetention::kFull);
   Rng rng(0x51c);
   std::vector<BitVector> posted;
   for (int i = 0; i < 7; ++i) posted.push_back(random_bitvector(20, rng));
@@ -360,7 +362,7 @@ TEST(BulletinBoard, VectorCountLandsWhenWriterCloses) {
 }
 
 TEST(BulletinBoard, ConcurrentPostsAllLand) {
-  BulletinBoard board;
+  BulletinBoard board(BoardRetention::kFull);
   ThreadPool pool(4);
   const ExecPolicy policy = ExecPolicy::pool(pool);
   policy.par_for(0, 2000, [&](std::size_t i) {
@@ -371,6 +373,80 @@ TEST(BulletinBoard, ConcurrentPostsAllLand) {
   std::size_t total = 0;
   for (ObjectId o = 0; o < 16; ++o) total += board.reports_for(3, o).size();
   EXPECT_EQ(total, 2000u);
+}
+
+// ---- retention ---------------------------------------------------------------
+// A kCounts board (the default) frees a vector channel at its support read
+// and keeps no report log; kFull keeps both. Counts and rankings agree.
+
+TEST(BoardRetention, TakeSupportConsumesOnlyOnACountsBoard) {
+  Rng rng(0x7a4e);
+  const BitVector a = random_bitvector(40, rng), b = random_bitvector(40, rng);
+  for (const BoardRetention retention :
+       {BoardRetention::kCounts, BoardRetention::kFull}) {
+    BulletinBoard board(retention);
+    {
+      auto writer = board.vector_channel(6);
+      writer.post(0, b);
+      writer.post(1, a);
+      writer.post(2, a);
+    }
+    board.post_vector(6 + 64, 0, b);  // a same-shard neighbour is left alone
+
+    const auto first = board.take_support(6);
+    ASSERT_EQ(first.size(), 2u);
+    EXPECT_EQ(first[0].vector, a);
+    EXPECT_EQ(first[0].support, 2u);
+    EXPECT_EQ(first[1].vector, b);
+    EXPECT_EQ(first[1].support, 1u);
+
+    const auto second = board.take_support(6);
+    if (retention == BoardRetention::kCounts) {
+      EXPECT_TRUE(second.empty());
+    } else {
+      ASSERT_EQ(second.size(), first.size());
+      for (std::size_t i = 0; i < first.size(); ++i) {
+        EXPECT_EQ(second[i].vector, first[i].vector);
+        EXPECT_EQ(second[i].support, first[i].support);
+      }
+      EXPECT_EQ(board.vectors(6).size(), 3u);
+    }
+    EXPECT_EQ(board.vector_count(), 4u);  // a read never uncounts a post
+    const auto neighbour = board.take_support(6 + 64);
+    ASSERT_EQ(neighbour.size(), 1u);
+    EXPECT_EQ(neighbour[0].vector, b);
+
+    // A consumed channel starts afresh on its next publication.
+    board.post_vector(6, 3, b);
+    const auto again = board.take_support(6);
+    ASSERT_FALSE(again.empty());
+    EXPECT_EQ(again[0].support,
+              retention == BoardRetention::kCounts ? 1u : 2u);
+  }
+}
+
+TEST(BoardRetention, LogReadersFailOnACountsBoard) {
+  BulletinBoard board;  // the default retention is kCounts
+  board.post_report(1, 10, 5, true);
+  const ProbeReport block[] = {{11, 5, false}, {12, 6, true}};
+  board.post_reports(1, block);
+  board.post_vector(2, 0, BitVector(8));
+  EXPECT_EQ(board.report_count(), 3u);
+  EXPECT_EQ(board.vector_count(), 1u);
+
+  const auto expect_named = [](const auto& read, const std::string& reader) {
+    try {
+      read();
+      ADD_FAILURE() << reader << " returned on a counts board";
+    } catch (const std::logic_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("BulletinBoard::" + reader), std::string::npos) << msg;
+      EXPECT_NE(msg.find("BoardRetention::kFull"), std::string::npos) << msg;
+    }
+  };
+  expect_named([&] { (void)board.all_reports(1); }, "all_reports");
+  expect_named([&] { (void)board.reports_for(1, 5); }, "reports_for");
+  expect_named([&] { (void)board.vectors(2); }, "vectors");
 }
 
 TEST(HonestBeacon, DeterministicPerPhase) {

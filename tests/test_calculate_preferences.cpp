@@ -141,6 +141,70 @@ TEST(CalculatePreferences, PaperPresetRuns) {
   EXPECT_EQ(r.outputs.size(), 64u);
 }
 
+// The retention contract: the library's counts board and the kFull log are
+// one board to the protocols. Every output, per-player probe bill and board
+// count must match, serial and on a 4-worker pool.
+struct BoardRun {
+  std::vector<BitVector> outputs;
+  std::vector<std::uint64_t> probes_by;
+  std::uint64_t reports = 0;
+  std::uint64_t vectors = 0;
+};
+
+BoardRun run_on_board(BoardRetention retention, bool hijack,
+                      const ExecPolicy& policy) {
+  const std::size_t n = 128, B = 4;
+  const World world = planted_clusters(n, n, B, 8, Rng(21));
+  Population population(world.n_players());
+  Rng rng(22);
+  if (hijack) {
+    population.corrupt_random(
+        n / (3 * B), rng,
+        [&world] { return std::make_unique<ClusterHijacker>(world.matrix, 0); },
+        /*protected_player=*/0);
+  } else {
+    population.corrupt_random(n / (3 * B), rng,
+                              [] { return std::make_unique<Sleeper>(); });
+  }
+  ProbeOracle oracle(world.matrix);
+  BulletinBoard board(retention);
+  HonestBeacon beacon(0xbeac0ULL);
+  ProtocolEnv env(oracle, board, population, beacon,
+                  mix_keys(0xbeac0ULL, 0x10ca1ULL), policy);
+  oracle.bind_policy(env.policy);
+  const ProtocolResult r = calculate_preferences(env, Params::practical(B), 23);
+  BoardRun run;
+  run.outputs = r.outputs;
+  for (PlayerId p = 0; p < n; ++p) run.probes_by.push_back(oracle.probes_by(p));
+  run.reports = board.report_count();
+  run.vectors = board.vector_count();
+  return run;
+}
+
+TEST(CalculatePreferences, CountsBoardMatchesFullLog) {
+  const ExecPolicy one = ExecPolicy::serial();
+  ThreadPool pool(4);
+  const ExecPolicy four = ExecPolicy::pool(pool);
+  for (const bool hijack : {false, true}) {
+    const BoardRun want = run_on_board(BoardRetention::kFull, hijack, one);
+    ASSERT_GT(want.reports, 0u);
+    ASSERT_GT(want.vectors, 0u);
+    for (const BoardRetention retention :
+         {BoardRetention::kCounts, BoardRetention::kFull}) {
+      for (const ExecPolicy* policy : {&one, &four}) {
+        SCOPED_TRACE(std::string(hijack ? "hijacker" : "sleeper") +
+                     (retention == BoardRetention::kCounts ? " counts" : " full") +
+                     (policy == &four ? " threads=4" : " threads=1"));
+        const BoardRun got = run_on_board(retention, hijack, *policy);
+        EXPECT_EQ(got.outputs, want.outputs);
+        EXPECT_EQ(got.probes_by, want.probes_by);
+        EXPECT_EQ(got.reports, want.reports);
+        EXPECT_EQ(got.vectors, want.vectors);
+      }
+    }
+  }
+}
+
 class CalcPrefDiameterSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(CalcPrefDiameterSweep, ErrorScalesWithPlantedDiameter) {

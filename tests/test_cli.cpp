@@ -162,6 +162,17 @@ TEST(CliFrontEnd, ZeroBudgetFailsTheGridAtPlanTime) {
   std::remove((out + ".tmp").c_str());
 }
 
+TEST(CliFrontEnd, StepOffOverrideFailsByName) {
+  // vote_c=0 vote_min=0 leaves work sharing no votes, so a coin decides
+  // every object. It must be a plan-time error (exit 2), not a row.
+  const CliResult result = cli(
+      "--scenario 'n=64 budget=4 vote_c=0 vote_min=0 opt=0' --sink jsonl "
+      "--threads 1");
+  EXPECT_EQ(result.exit_code, 2) << result.err;
+  EXPECT_NE(result.err.find("vote_min=0"), std::string::npos) << result.err;
+  EXPECT_EQ(line_count(result.out), 0u) << result.out;
+}
+
 TEST(CliFrontEnd, WorkloadPreconditionFailsOnlyItsRow) {
   // n=8 is below the default diameter 16: the planted generator cannot build
   // that world. The cell must become a failed row naming the key while the

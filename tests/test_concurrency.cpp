@@ -77,7 +77,7 @@ TEST(Concurrency, BoardReportsSurviveConcurrentPosting) {
   constexpr std::size_t kObjects = 16;  // heavy per-object contention
   constexpr std::size_t kPosts = 1024;
   constexpr std::uint64_t kTag = 0x7a6;
-  BulletinBoard board;
+  BulletinBoard board(BoardRetention::kFull);
 
   ThreadPool pool(4);
   const ExecPolicy policy = ExecPolicy::pool(pool);
@@ -121,7 +121,7 @@ TEST(Concurrency, VectorSupportCountsSurviveConcurrentPosting) {
   minority.randomize(rng);
   ASSERT_NE(majority, minority);
 
-  BulletinBoard board;
+  BulletinBoard board(BoardRetention::kFull);
   ThreadPool pool(4);
   const ExecPolicy policy = ExecPolicy::pool(pool);
   policy.par_for(0, kPlayers, [&](std::size_t p) {
@@ -141,7 +141,7 @@ TEST(Concurrency, VectorSupportCountsSurviveConcurrentPosting) {
 
   // Distinct support counts make the ranking schedule-independent even
   // though first-appearance tie-breaks would not be.
-  const auto ranked = board.vectors_by_support(kTag);
+  const auto ranked = board.take_support(kTag);
   ASSERT_EQ(ranked.size(), 2u);
   EXPECT_EQ(ranked[0].vector, majority);
   EXPECT_EQ(ranked[0].support, kPlayers - kPlayers / 4);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace colscore {
 namespace {
 
@@ -141,6 +143,44 @@ TEST(Scenario, ResolveRejectsZeroRepeatAndFinalistCounts) {
   EXPECT_EQ(ones.robust_outer_reps, 1u);
   EXPECT_EQ(ones.params.sr_repeats, 1u);
   EXPECT_EQ(ones.params.sr_max_finalists, 1u);
+}
+
+TEST(Scenario, ResolveRejectsOverridesThatSwitchAStepOff) {
+  // A zero rate, divisor or scale (or a fraction outside (0, 1]) silently
+  // switches its protocol step off: with vote_c=0 vote_min=0 a planted
+  // n=256 run's max_err is 148 where the defaults give 8. Each must fail at
+  // plan time, naming the key.
+  const std::pair<const char*, const char*> bad[] = {
+      {"sample_rate_c=0", "'sample_rate_c=0': expected a finite number above 0"},
+      {"sample_rate_c=nan", "'sample_rate_c=nan'"},
+      {"sr_support_divisor=-5", "'sr_support_divisor=-5'"},
+      {"graph_tau_c=inf", "'graph_tau_c=inf'"},
+      {"sr_subset_scale=0", "'sr_subset_scale=0'"},
+      {"rselect_c=0", "'rselect_c=0'"},
+      {"graph_tau_sample_frac=0",
+       "'graph_tau_sample_frac=0': expected a fraction in (0, 1]"},
+      {"graph_tau_sample_frac=1.5", "'graph_tau_sample_frac=1.5'"},
+      {"vote_c=-1", "'vote_c=-1': expected a finite number at least 0"},
+      {"vote_c=0 vote_min=0", "'vote_min=0' and 'vote_c=0'"},
+      {"paper_params=1 vote_min=0 vote_c=0", "'vote_min=0' and 'vote_c=0'"},
+  };
+  for (const auto& [spec, want] : bad) {
+    try {
+      (void)Scenario::resolve(ScenarioSpec::parse(spec));
+      ADD_FAILURE() << spec << ": expected ScenarioError";
+    } catch (const ScenarioError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(want), std::string::npos) << spec << ": " << msg;
+    }
+  }
+  // Either vote knob alone still yields votes, and the ends of the
+  // fraction's range are accepted.
+  const Scenario ok = Scenario::resolve(ScenarioSpec::parse(
+      "vote_c=0 graph_tau_sample_frac=1 rselect_c=0.5"));
+  EXPECT_EQ(ok.params.vote_c, 0.0);
+  EXPECT_EQ(ok.params.graph_tau_sample_frac, 1.0);
+  EXPECT_EQ(Scenario::resolve(ScenarioSpec::parse("vote_min=0")).params.vote_min,
+            0u);
 }
 
 TEST(Registry, WorkloadPreconditionsFailByKeyNotByAbort) {

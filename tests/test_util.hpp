@@ -56,7 +56,7 @@ struct Harness {
   World world;
   Population population;
   ProbeOracle oracle;
-  BulletinBoard board;
+  BulletinBoard board{BoardRetention::kFull};
   HonestBeacon beacon;
   ProtocolEnv env;
 

@@ -12,6 +12,7 @@ from . import registry_hygiene
 from . import logging_discipline
 from . import kernel_discipline
 from . import execution_discipline
+from . import board_discipline
 
 RULES = sorted(
     workspace_ownership.RULES
@@ -20,7 +21,8 @@ RULES = sorted(
     + registry_hygiene.RULES
     + logging_discipline.RULES
     + kernel_discipline.RULES
-    + execution_discipline.RULES,
+    + execution_discipline.RULES
+    + board_discipline.RULES,
     key=lambda r: r.rule_id,
 )
 

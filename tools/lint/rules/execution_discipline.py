@@ -41,9 +41,10 @@ def _check_ambient_execution(sf: SourceFile,
                 and prv not in (".", "->", "::"):
             out.append(make_diag(
                 RULE_AMBIENT_EXECUTION, sf, tok.line, tok.col,
-                "free parallel_for() runs on the ambient process pool; use "
-                "policy.par_for(...) (or env.par_for inside protocols) so "
-                "the loop stays on its suite's policy"))
+                "free parallel_for() does not exist -- there is no process "
+                "pool to run it on; loops go through policy.par_for(...) (or "
+                "env.par_for inside protocols) so they stay on their suite's "
+                "policy"))
         elif tok.text == "current" and qual == "RunWorkspace" and nxt == "(":
             out.append(make_diag(
                 RULE_AMBIENT_EXECUTION, sf, tok.line, tok.col,
