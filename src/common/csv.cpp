@@ -4,11 +4,10 @@
 
 namespace colscore {
 
-CsvWriter::CsvWriter(std::ostream& out, std::vector<std::string> columns,
-                     bool emit_header)
+CsvWriter::CsvWriter(std::ostream& out, std::vector<std::string> columns)
     : out_(out), width_(columns.size()) {
   CS_ASSERT(width_ > 0, "csv: empty header");
-  if (emit_header) write_row(columns);
+  write_row(columns);
   rows_ = 0;  // header does not count
 }
 
@@ -36,6 +35,38 @@ void CsvWriter::write_row(const std::vector<std::string>& cells) {
   }
   out_ << '\n';
   ++rows_;
+}
+
+bool split_csv_row(std::string_view line, std::vector<std::string>& cells) {
+  cells.clear();
+  std::size_t pos = 0;
+  for (;;) {
+    std::string cell;
+    if (pos < line.size() && line[pos] == '"') {
+      ++pos;
+      for (;;) {
+        if (pos >= line.size()) return false;  // unterminated quote
+        if (line[pos] == '"') {
+          if (pos + 1 < line.size() && line[pos + 1] == '"') {
+            cell += '"';
+            pos += 2;
+            continue;
+          }
+          ++pos;
+          break;
+        }
+        cell += line[pos++];
+      }
+      if (pos < line.size() && line[pos] != ',') return false;
+    } else {
+      const std::size_t comma = line.find(',', pos);
+      cell = line.substr(pos, comma - pos);
+      pos = comma == std::string_view::npos ? line.size() : comma;
+    }
+    cells.push_back(std::move(cell));
+    if (pos >= line.size()) return true;
+    ++pos;  // the comma
+  }
 }
 
 }  // namespace colscore

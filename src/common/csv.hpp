@@ -1,10 +1,12 @@
-// Minimal CSV emitter for experiment outputs (stdout or file).
+// Minimal CSV emitter for experiment outputs (stdout or file), and the
+// splitter that reads its rows back.
 #pragma once
 
 #include <initializer_list>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -13,10 +15,7 @@ namespace colscore {
 class CsvWriter {
  public:
   /// Writes rows to `out`; the header row is emitted on construction.
-  /// Pass emit_header=false when appending to an artifact that already has
-  /// one (the columns still pin the expected row width).
-  CsvWriter(std::ostream& out, std::vector<std::string> columns,
-            bool emit_header = true);
+  CsvWriter(std::ostream& out, std::vector<std::string> columns);
 
   /// Number of values must match the header width.
   void row(std::initializer_list<std::string> values);
@@ -49,5 +48,11 @@ class CsvWriter {
   std::size_t width_;
   std::size_t rows_ = 0;
 };
+
+/// Splits one line CsvWriter wrote back into cells, undoing its quoting
+/// ('"'-wrapped cells, '""' escapes). Embedded newlines are not supported —
+/// nothing in the pipeline emits them. Returns false on a malformed line
+/// (unterminated quote, text after a closing quote).
+bool split_csv_row(std::string_view line, std::vector<std::string>& cells);
 
 }  // namespace colscore

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "src/common/assert.hpp"
+#include "src/common/strict_parse.hpp"
 #include "src/sim/registry.hpp"
 #include "src/sim/suite.hpp"
 
@@ -207,6 +208,26 @@ std::string RunRecord::cell_text(std::size_t i) const {
     case MetricType::kBool: return v.as_bool() ? "1" : "0";
   }
   return "";
+}
+
+std::optional<MetricValue> parse_cell_text(const std::string& text,
+                                           MetricType type) {
+  switch (type) {
+    case MetricType::kU64:
+    case MetricType::kSize:
+      if (const std::optional<std::uint64_t> u = parse_strict_u64(text))
+        return MetricValue::of_u64(*u);
+      return std::nullopt;
+    case MetricType::kF64:
+      if (const std::optional<double> d = parse_strict_f64(text))
+        return MetricValue::of_f64(*d);
+      return std::nullopt;
+    case MetricType::kString: return MetricValue::of_string(text);
+    case MetricType::kBool:
+      if (text != "0" && text != "1") return std::nullopt;
+      return MetricValue::of_bool(text == "1");
+  }
+  return std::nullopt;
 }
 
 std::vector<std::string> RunRecord::cells() const {

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -184,6 +185,14 @@ class RunRecord {
   const MetricSchema* schema_;
   std::vector<MetricValue> values_;
 };
+
+/// The inverse of RunRecord::cell_text for a present cell: `text` decoded as
+/// a value of `type` (decimal u64/size, any strict double spelling for f64
+/// — "nan"/"inf" included —, "1"/"0" for bools, strings verbatim); nullopt
+/// when `text` is no valid spelling. Every artifact reader decodes its text
+/// cells through this one path.
+std::optional<MetricValue> parse_cell_text(const std::string& text,
+                                           MetricType type);
 
 // ---- entry-published metrics ------------------------------------------------
 

@@ -58,14 +58,17 @@ std::string format_double(double v) {
 
 /// The values a Params double accepts. A rate, divisor or scale at zero (or
 /// a fraction outside (0, 1]) switches its protocol step off without an
-/// error, and a negative count factor casts to a garbage count, so such a
-/// value fails at resolve().
-enum class DoubleRange { kAny, kNonNegative, kPositive, kFraction };
+/// error, and a negative count factor or a non-finite value casts to a
+/// garbage count, so such a value fails at resolve(). kSlackFraction is
+/// [0, 1): a threshold's shortfall below its full size.
+enum class DoubleRange {
+  kFinite, kNonNegative, kPositive, kFraction, kSlackFraction
+};
 
 struct ParamsDoubleField {
   const char* key;
   double Params::*member;
-  DoubleRange range = DoubleRange::kAny;
+  DoubleRange range;
 };
 struct ParamsSizeField {
   const char* key;
@@ -75,23 +78,24 @@ struct ParamsSizeField {
 
 constexpr ParamsDoubleField kParamsDoubleFields[] = {
     {"sample_rate_c", &Params::sample_rate_c, DoubleRange::kPositive},
-    {"sr_diameter_c", &Params::sr_diameter_c},
+    {"sr_diameter_c", &Params::sr_diameter_c, DoubleRange::kFinite},
     {"sr_subset_scale", &Params::sr_subset_scale, DoubleRange::kPositive},
-    {"sr_subset_exponent", &Params::sr_subset_exponent},
+    {"sr_subset_exponent", &Params::sr_subset_exponent, DoubleRange::kFinite},
     {"sr_support_divisor", &Params::sr_support_divisor, DoubleRange::kPositive},
     {"graph_tau_c", &Params::graph_tau_c, DoubleRange::kPositive},
     {"graph_tau_sample_frac", &Params::graph_tau_sample_frac,
      DoubleRange::kFraction},
-    {"cluster_slack", &Params::cluster_slack},
+    {"cluster_slack", &Params::cluster_slack, DoubleRange::kSlackFraction},
     {"vote_c", &Params::vote_c, DoubleRange::kNonNegative},
     {"rselect_c", &Params::rselect_c, DoubleRange::kPositive},
-    {"easy_case_factor", &Params::easy_case_factor},
+    // At or below 0 every run takes the probe-everything easy case.
+    {"easy_case_factor", &Params::easy_case_factor, DoubleRange::kPositive},
 };
 
 constexpr ParamsSizeField kParamsSizeFields[] = {
     // SmallRadius needs a candidate per repeat and a finalist to play.
     {"sr_repeats", &Params::sr_repeats, /*positive=*/true},
-    {"sr_probes_per_pair", &Params::sr_probes_per_pair},
+    {"sr_probes_per_pair", &Params::sr_probes_per_pair, /*positive=*/true},
     {"sr_prefilter_probes", &Params::sr_prefilter_probes},
     {"sr_max_finalists", &Params::sr_max_finalists, /*positive=*/true},
     {"vote_min", &Params::vote_min},
@@ -135,12 +139,16 @@ bool apply_params_override(Params& params, const std::string& key,
     if (key == f.key) {
       const double v = parse_double(key, value);
       // Each test is written so that NaN fails it.
+      if (f.range == DoubleRange::kFinite && !std::isfinite(v))
+        bad_value(key, value, "a finite number");
       if (f.range == DoubleRange::kNonNegative && !(v >= 0 && std::isfinite(v)))
         bad_value(key, value, "a finite number at least 0");
       if (f.range == DoubleRange::kPositive && !(v > 0 && std::isfinite(v)))
         bad_value(key, value, "a finite number above 0");
       if (f.range == DoubleRange::kFraction && !(v > 0 && v <= 1))
         bad_value(key, value, "a fraction in (0, 1]");
+      if (f.range == DoubleRange::kSlackFraction && !(v >= 0 && v < 1))
+        bad_value(key, value, "a fraction in [0, 1)");
       params.*(f.member) = v;
       return true;
     }

@@ -4,10 +4,11 @@
 // A resumed suite reads the prior artifact — the finished PATH or, after a
 // crash, the durable partial PATH.tmp (see the ResultSink partial-output
 // contract in sink.hpp) — back into typed rows on the suite's *output*
-// schema, matches each row against the freshly planned run list by the
-// identity columns (workload/algorithm/adversary/n/budget/diameter/
-// dishonest/seed/rep — whichever of those the column selection kept; `seed`
-// is required), and marks every planned run with a complete ("ok") prior row
+// schema through the reader its sink registered (SinkEntry::read), matches
+// each row against the freshly planned run list by the identity columns
+// (workload/algorithm/adversary/n/budget/diameter/dishonest/seed/rep —
+// whichever of those the column selection kept; `seed` is required), and
+// marks every planned run with a complete ("ok") prior row
 // kSkipped. SuiteRunner::execute streams skipped runs through on_result
 // without executing them, where the caller substitutes the prior row
 // (widen_prior_row + RecordStream). Because per-run seeds derive from the
@@ -29,27 +30,25 @@
 #include <vector>
 
 #include "src/sim/record.hpp"
+#include "src/sim/sink.hpp"
 #include "src/sim/suite.hpp"
 
 namespace colscore {
 
 /// A prior artifact's rows, decoded onto the output schema they were
 /// written with (the suite schema projected onto the column selection).
-struct PriorOutput {
+struct PriorOutput : ArtifactRows {
   /// What was actually read: PATH.tmp when a crashed run left one
   /// (preferred — it is the interrupted run being resumed), else PATH.
   std::string source_path;
-  std::vector<RunRecord> rows;
-  /// Partial trailing rows discarded (text sinks; 0 or 1). Sqlite
-  /// transactions never expose a torn row.
-  std::size_t truncated_rows = 0;
 };
 
-/// Reads PATH (or PATH.tmp) back through the sink-specific decoder named by
-/// `sink_name` ("csv", "jsonl", "sqlite"). The returned rows hold a pointer
-/// to `out_schema`, which must outlive them. Throws ScenarioError prefixed
-/// "resume 'SOURCE':" on malformed interior rows, a csv header or sqlite
-/// `runs` table that does not match `out_schema`, or a missing artifact.
+/// Reads PATH (or PATH.tmp) back through the reader `sink_name` registered
+/// in SinkRegistry. The returned rows hold a pointer to `out_schema`, which
+/// must outlive them. Throws ScenarioError prefixed "resume 'SOURCE':" on
+/// any reader error (malformed interior rows, a header or `runs` table that
+/// does not match `out_schema`) or a missing artifact, and names the sink
+/// when it registered no reader.
 PriorOutput load_prior_output(std::string_view sink_name,
                               const std::string& path,
                               const MetricSchema& out_schema);
@@ -63,11 +62,14 @@ struct ResumePlan {
   std::size_t completed = 0;
 };
 
-/// Matches prior rows against the planned runs by the identity columns.
-/// Rows whose status is not "ok" are ignored (re-run); a row matching no
-/// planned run throws (the artifact belongs to a different suite).
+/// Matches prior rows (on `out_schema`) against the planned runs by the
+/// identity columns, spelling each planned run's cells through
+/// make_run_record on the full suite `schema`. Rows whose status is not
+/// "ok" are ignored (re-run); a row matching no planned run throws (the
+/// artifact belongs to a different suite).
 ResumePlan plan_resume(const PriorOutput& prior,
                        std::span<const SuiteRun> planned,
+                       const MetricSchema& schema,
                        const MetricSchema& out_schema);
 
 /// Everything a resumed invocation carries: the output schema the prior

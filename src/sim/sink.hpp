@@ -12,8 +12,11 @@
 //
 // Sinks are a registry like workloads/adversaries/algorithms: registering a
 // name and a factory is the whole integration (`colscore_cli --sink NAME`
-// and suite files' "sink" key look names up here). The sqlite sink links the
-// system sqlite3 library and is compiled out — absent from the registry, not
+// and suite files' "sink" key look names up here). An entry also registers
+// the reader that decodes its artifact back into rows, so each on-disk
+// format is written and read in this one module; `--resume` reads prior
+// artifacts only through the registry. The sqlite sink links the system
+// sqlite3 library and is compiled out — absent from the registry, not
 // stubbed — when the toolchain lacks it (COLSCORE_HAVE_SQLITE).
 //
 // Column selection (--columns / a suite file's "columns") and per-cell
@@ -46,20 +49,19 @@ namespace colscore {
 /// (RecordStream guarantees it).
 ///
 /// Durability / partial-output contract (crash tolerance):
-///  - A file sink in fresh mode writes to `PATH.tmp` and atomically renames
-///    it to PATH in finish(). PATH therefore only ever holds a *complete*
-///    artifact; a crashed or aborted suite leaves PATH.tmp behind instead.
+///  - A file sink writes to `PATH.tmp` and atomically renames it to PATH in
+///    finish(). PATH therefore only ever holds a *complete* artifact; a
+///    crashed or aborted suite leaves PATH.tmp behind instead.
 ///  - Rows become durable on a fixed cadence: text sinks flush the stream
 ///    after every row, sqlite commits a transaction every 64 rows. After a
-///    crash,
-///    PATH.tmp holds every row durable at the last cadence point — in run
-///    order with no gaps — and `--resume` accepts PATH or PATH.tmp.
+///    crash, PATH.tmp holds every row durable at the last cadence point —
+///    in run order with no gaps — and `--resume` accepts PATH or PATH.tmp.
 ///  - finish() is the explicit success path; call it to observe errors.
 ///    Destructors without finish() are the *abort* path: they release
 ///    resources but do not rename, so a failed suite never clobbers a
 ///    previous complete artifact.
-/// Append mode (SinkConfig::append) writes into PATH directly (no .tmp, no
-/// rename) so cooperating writers — shards — can extend one artifact.
+/// Reading back is the sink's own job too: the ArtifactReader registered
+/// beside its factory (SinkEntry::read) decodes PATH or PATH.tmp.
 class ResultSink {
  public:
   virtual ~ResultSink() = default;
@@ -76,16 +78,29 @@ class ResultSink {
 
 /// How a sink factory gets its destination. `stream` (when set) wins over
 /// `path`; an empty path means stdout for text sinks and is an error for
-/// file-only sinks (sqlite).
+/// file-only sinks (sqlite). A file artifact is always written fresh.
 struct SinkConfig {
   std::string path;
   std::ostream* stream = nullptr;
-  /// Extend an existing artifact at `path` instead of replacing it: no
-  /// .tmp/rename, csv suppresses its header when the file already has rows,
-  /// sqlite keeps (and validates) an existing `runs` table. Ignored for
-  /// stream/stdout destinations.
-  bool append = false;
 };
+
+/// What a sink's reader decodes from an artifact: its rows on the schema
+/// they were written with.
+struct ArtifactRows {
+  std::vector<RunRecord> rows;
+  /// Torn trailing rows discarded (text sinks; 0 or 1): a final line without
+  /// its newline is the one write a crash can cut mid-row, so it is dropped,
+  /// never parsed. Sqlite transactions never expose a torn row.
+  std::size_t truncated_rows = 0;
+};
+
+/// Reads the artifact at `path` back onto `schema`. Throws ScenarioError
+/// naming the line (text sinks) and the offending token on a malformed row,
+/// or on a header / `runs` table that does not match `schema`. The returned
+/// rows point at `schema`, which must outlive them.
+using ArtifactReader =
+    std::function<ArtifactRows(const std::string& path,
+                               const MetricSchema& schema)>;
 
 // ---- selection + summary ----------------------------------------------------
 
@@ -138,12 +153,16 @@ class CsvSink : public ResultSink {
   void write(const RunRecord& record) override;
   void finish() override;
 
+  /// The ArtifactReader: the header must spell `schema`'s keys; an empty
+  /// cell is an absent metric, every other cell goes through
+  /// parse_cell_text.
+  static ArtifactRows read(const std::string& path, const MetricSchema& schema);
+
  private:
   std::ofstream file_;
   std::ostream* out_;
   std::string tmp_path_;    // rename tmp_path_ -> final_path_ in finish()
-  std::string final_path_;  // empty: stream/stdout/append, nothing to rename
-  bool suppress_header_ = false;  // appending to a file that already has one
+  std::string final_path_;  // empty: stream/stdout, nothing to rename
   std::optional<CsvWriter> writer_;
 };
 
@@ -160,6 +179,10 @@ class JsonlSink : public ResultSink {
   void write(const RunRecord& record) override;
   void finish() override;
 
+  /// The ArtifactReader: each object's fields must be `schema`'s keys in
+  /// order, each of the JSON kind the writer emits for its type.
+  static ArtifactRows read(const std::string& path, const MetricSchema& schema);
+
  private:
   std::ofstream file_;
   std::ostream* out_;
@@ -169,12 +192,6 @@ class JsonlSink : public ResultSink {
 };
 
 #if defined(COLSCORE_HAVE_SQLITE)
-/// DDL spellings shared by SqliteSink and the resume decoder: a
-/// double-quoted column name ("" escapes an embedded quote) and a metric
-/// type's column affinity.
-std::string sqlite_quote_ident(const std::string& name);
-const char* sqlite_affinity(MetricType type);
-
 /// Sqlite database with a single `runs` table whose columns mirror the
 /// schema with real affinities: INTEGER for u64/size/bool, REAL for f64,
 /// TEXT for strings; absent metrics are NULL. u64 values are stored as
@@ -182,16 +199,12 @@ const char* sqlite_affinity(MetricType type);
 /// value >= 2^63 reads back exactly via a cast of sqlite3_column_int64 but
 /// *prints* negative in raw SQL.
 ///
-/// Fresh mode builds the database at PATH.tmp (replacing a stale one) and
+/// The sink builds the database at PATH.tmp (replacing a stale one) and
 /// renames it over PATH in finish(), so a re-run reproduces the file and a
-/// crash never leaves PATH half-written. Append mode opens PATH itself and
-/// keeps an existing `runs` table — after validating that its columns match
-/// the suite schema exactly (a mismatch throws a ScenarioError naming the
-/// first divergence rather than failing on insert). Inserts run in batched
-/// transactions of 64 rows: each commit is a durability point for resume. A 5s busy timeout tolerates concurrent
-/// shard writers appending to one database. The destructor without
-/// finish() rolls the open transaction back and does not rename (the abort
-/// path of the partial-output contract).
+/// crash never leaves PATH half-written. Inserts run in batched
+/// transactions of 64 rows: each commit is a durability point for resume.
+/// The destructor without finish() rolls the open transaction back and does
+/// not rename (the abort path of the partial-output contract).
 class SqliteSink : public ResultSink {
  public:
   explicit SqliteSink(const SinkConfig& config);
@@ -201,17 +214,19 @@ class SqliteSink : public ResultSink {
   void write(const RunRecord& record) override;
   void finish() override;
 
+  /// The ArtifactReader: the `runs` table's columns must match `schema`
+  /// exactly (names, order, affinities), or it throws naming the first
+  /// divergence; rows come back in insertion order.
+  static ArtifactRows read(const std::string& path, const MetricSchema& schema);
+
  private:
   void exec(const std::string& sql);
-  void create_or_validate_table(const MetricSchema& schema,
-                                const std::string& create_sql);
 
   sqlite3* db_ = nullptr;
   sqlite3_stmt* insert_ = nullptr;
   std::vector<MetricType> types_;
   std::string tmp_path_;
-  std::string final_path_;  // empty in append mode: nothing to rename
-  bool append_ = false;
+  std::string final_path_;
   bool in_transaction_ = false;
 };
 #endif  // COLSCORE_HAVE_SQLITE
@@ -221,10 +236,14 @@ class SqliteSink : public ResultSink {
 struct SinkEntry {
   std::string description;
   std::function<std::unique_ptr<ResultSink>(const SinkConfig&)> make;
+  /// Decodes what `make`'s sinks write; empty when the sink's artifacts
+  /// cannot be read back (then `--resume` fails naming the sink).
+  ArtifactReader read;
 };
 
-/// Name -> sink factory. Built-ins: "csv", "jsonl", and "sqlite" when
-/// compiled in. Downstream code registers new sinks exactly like workloads.
+/// Name -> sink factory and reader. Built-ins: "csv", "jsonl", and "sqlite"
+/// when compiled in. Downstream code registers new sinks exactly like
+/// workloads.
 class SinkRegistry : public Registry<SinkEntry> {
  public:
   static SinkRegistry& instance();

@@ -13,6 +13,14 @@
 
 namespace colscore {
 
+namespace {
+
+/// First key of every derived per-run seed (see SuiteOptions::derive_seeds).
+/// Changing it changes every derived seed, golden and artifact.
+constexpr std::uint64_t kSeedSalt = 0x5c3a01u;
+
+}  // namespace
+
 // ---- grid sweeps ------------------------------------------------------------
 
 std::vector<GridAxis> parse_grid(std::string_view text) {
@@ -153,7 +161,7 @@ std::vector<SuiteRun> SuiteRunner::plan(
       runs[i].scenario = resolved;
       if (options_.derive_seeds)
         runs[i].scenario.seed =
-            mix_keys(options_.seed_salt, i, runs[i].scenario.seed);
+            mix_keys(kSeedSalt, i, runs[i].scenario.seed);
     }
   }
   return runs;

@@ -94,11 +94,11 @@ struct SuiteOptions {
   /// Grid sweeps set this with a `reps=K` axis. Requires derive_seeds —
   /// with raw seeds the k replicas would be identical runs.
   std::size_t reps = 1;
-  /// Per-run seeds are mix_keys(seed_salt, index, spec seed): deterministic,
-  /// schedule-independent, and distinct across grid cells even when the
-  /// cells' specs share a seed. Set derive_seeds=false to run each spec's
-  /// seed untouched (single runs, reproduction of a specific cell).
-  std::uint64_t seed_salt = 0x5c3a01u;
+  /// Per-run seeds are mix_keys(a fixed salt, index, spec seed):
+  /// deterministic, schedule-independent, and distinct across grid cells
+  /// even when the cells' specs share a seed; a different base seed moves
+  /// every derived seed. Set derive_seeds=false to run each spec's seed
+  /// untouched (single runs, reproduction of a specific cell).
   bool derive_seeds = true;
   /// Invoked once per completed run, always in run-index order (a run's
   /// callback fires as soon as it and every earlier run have finished).

@@ -15,10 +15,10 @@ namespace colscore {
 namespace {
 
 constexpr const char* kAcceptedKeys[] = {
-    "name",    "description", "base",    "grids",        "reps",
-    "threads", "sink",        "output",  "wall",         "derive_seeds",
-    "seed_salt", "columns",   "summary", "retries",      "timeout_s",
-    "backoff_s", "faults",
+    "name",      "description", "base",    "grids",   "reps",
+    "threads",   "sink",        "output",  "wall",    "derive_seeds",
+    "columns",   "summary",     "retries", "timeout_s", "backoff_s",
+    "faults",
 };
 
 [[noreturn]] void fail(const std::string& origin, const std::string& what) {
@@ -44,7 +44,7 @@ bool require_bool(const std::string& origin, const char* key,
 }
 
 /// A non-negative integer-valued number ("3", not "3.5" or "-1"). Parses the
-/// source spelling so large seed salts survive without a double round-trip.
+/// source spelling so large values survive without a double round-trip.
 std::uint64_t require_integer(const std::string& origin, const char* key,
                               const JsonValue& v) {
   if (!v.is_number()) wrong_type(origin, key, "an integer", v);
@@ -182,9 +182,6 @@ SuiteFile parse_suite_file(std::string_view json_text, std::string origin) {
     } else if (key == "derive_seeds") {
       file.options.derive_seeds =
           require_bool(file.origin, "derive_seeds", value);
-    } else if (key == "seed_salt") {
-      file.options.seed_salt =
-          require_integer(file.origin, "seed_salt", value);
     } else if (key == "columns") {
       if (value.is_string()) {
         try {

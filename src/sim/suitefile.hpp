@@ -25,11 +25,12 @@
 // replication is a suite property here, not a sweep axis). Optional knobs:
 // "threads" (0 = hardware), "wall" (include the wall_s column; off by
 // default so outputs are byte-reproducible), "derive_seeds" (default true;
-// false reruns literal seeds), "seed_salt", "columns" (explicit column
-// selection — an array of metric keys or one comma-separated string,
-// validated against the suite's metric schema at parse time; default: the
-// historical column set), and "summary" ("mean"/"min"/"max": one aggregated
-// row per grid cell instead of one row per rep).
+// false reruns literal seeds; the base "seed" moves every derived seed),
+// "columns" (explicit column selection — an array of metric keys or one
+// comma-separated string, validated against the suite's metric schema at
+// parse time; default: the historical column set), and "summary"
+// ("mean"/"min"/"max": one aggregated row per grid cell instead of one row
+// per rep).
 //
 // Fault tolerance knobs (see SuiteOptions in suite.hpp): "retries" (extra
 // attempts per failed/timed-out run), "timeout_s" (per-run wall-clock
@@ -68,8 +69,8 @@ struct SuiteFile {
   ScenarioSpec base;
   /// Parsed grids, in file order. Empty = one run of `base` per rep.
   std::vector<std::vector<GridAxis>> grids;
-  /// Runner settings: "reps", "threads", "derive_seeds", "seed_salt",
-  /// "retries", "timeout_s", "backoff_s" (a caller may also set the shard).
+  /// Runner settings: "reps", "threads", "derive_seeds", "retries",
+  /// "timeout_s", "backoff_s" (a caller may also set the shard).
   /// run_suite_file replaces options.faults and options.on_result with the
   /// plan parsed from `faults` and its sink stream.
   SuiteOptions options;

@@ -171,6 +171,13 @@ TEST(CliFrontEnd, StepOffOverrideFailsByName) {
   EXPECT_EQ(result.exit_code, 2) << result.err;
   EXPECT_NE(result.err.find("vote_min=0"), std::string::npos) << result.err;
   EXPECT_EQ(line_count(result.out), 0u) << result.out;
+  // cluster_slack above 1 would cast a negative cluster threshold.
+  const CliResult slack = cli(
+      "--scenario 'n=64 budget=4 cluster_slack=2 opt=0' --sink jsonl "
+      "--threads 1");
+  EXPECT_EQ(slack.exit_code, 2) << slack.err;
+  EXPECT_NE(slack.err.find("cluster_slack=2"), std::string::npos) << slack.err;
+  EXPECT_EQ(line_count(slack.out), 0u) << slack.out;
 }
 
 TEST(CliFrontEnd, WorkloadPreconditionFailsOnlyItsRow) {

@@ -163,6 +163,19 @@ TEST(Scenario, ResolveRejectsOverridesThatSwitchAStepOff) {
       {"vote_c=-1", "'vote_c=-1': expected a finite number at least 0"},
       {"vote_c=0 vote_min=0", "'vote_min=0' and 'vote_c=0'"},
       {"paper_params=1 vote_min=0 vote_c=0", "'vote_min=0' and 'vote_c=0'"},
+      // cluster_slack above 1 casts a negative threshold to size_t; both it
+      // and sr_probes_per_pair=0 give max_err 54 where the defaults give 8.
+      {"cluster_slack=2", "'cluster_slack=2': expected a fraction in [0, 1)"},
+      {"cluster_slack=1", "'cluster_slack=1'"},
+      {"cluster_slack=-0.5", "'cluster_slack=-0.5'"},
+      {"cluster_slack=nan", "'cluster_slack=nan'"},
+      {"sr_probes_per_pair=0",
+       "'sr_probes_per_pair=0': expected a positive integer"},
+      {"sr_diameter_c=inf", "'sr_diameter_c=inf': expected a finite number"},
+      {"sr_subset_exponent=nan", "'sr_subset_exponent=nan'"},
+      {"easy_case_factor=0",
+       "'easy_case_factor=0': expected a finite number above 0"},
+      {"easy_case_factor=-1", "'easy_case_factor=-1'"},
   };
   for (const auto& [spec, want] : bad) {
     try {
@@ -176,9 +189,10 @@ TEST(Scenario, ResolveRejectsOverridesThatSwitchAStepOff) {
   // Either vote knob alone still yields votes, and the ends of the
   // fraction's range are accepted.
   const Scenario ok = Scenario::resolve(ScenarioSpec::parse(
-      "vote_c=0 graph_tau_sample_frac=1 rselect_c=0.5"));
+      "vote_c=0 graph_tau_sample_frac=1 rselect_c=0.5 cluster_slack=0"));
   EXPECT_EQ(ok.params.vote_c, 0.0);
   EXPECT_EQ(ok.params.graph_tau_sample_frac, 1.0);
+  EXPECT_EQ(ok.params.cluster_slack, 0.0);
   EXPECT_EQ(Scenario::resolve(ScenarioSpec::parse("vote_min=0")).params.vote_min,
             0u);
 }

@@ -4,7 +4,8 @@
 // byte-identical to an uninterrupted run, for every file sink. A SIGKILLed
 // CLI subprocess leaves the durable PATH.tmp partial artifact, and resuming
 // it completes to the same bytes. Torn text tails, schema-mismatched sqlite
-// databases, and summarized artifacts are rejected with named errors.
+// databases, and summarized artifacts are rejected with named errors, and
+// each sink's artifact reader names the line and token of a malformed row.
 #include "src/sim/resume.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "src/sim/fault.hpp"
+#include "src/sim/sink.hpp"
 #include "src/sim/suitefile.hpp"
 
 #if defined(__unix__)
@@ -197,6 +199,102 @@ TEST(ResumeErrors, SummarizedArtifactsCannotResume) {
     EXPECT_NE(std::string(e.what()).find("summar"), std::string::npos)
         << e.what();
   }
+}
+
+// ---- artifact readers: one case per error class -----------------------------
+
+/// One column of each text-decoded kind; the header is "n,mean,name,easy".
+const MetricSchema& reader_schema() {
+  static const MetricSchema schema = [] {
+    MetricSchema s;
+    s.add({"n", MetricType::kSize, "", "test"});
+    s.add({"mean", MetricType::kF64, "", "test"});
+    s.add({"name", MetricType::kString, "", "test"});
+    s.add({"easy", MetricType::kBool, "", "test"});
+    return s;
+  }();
+  return schema;
+}
+
+/// Writes `text` as a `sink` artifact and expects its reader to fail with
+/// "resume 'PATH': line N: ..." naming `token`.
+void expect_reader_error(const std::string& sink, const std::string& text,
+                         std::size_t line, const std::string& token) {
+  const std::string path = temp_path("resume_reader." + sink);
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  }
+  try {
+    (void)load_prior_output(sink, path, reader_schema());
+    ADD_FAILURE() << text << ": expected ScenarioError";
+  } catch (const ScenarioError& e) {
+    const std::string msg = e.what();
+    const std::string prefix =
+        "resume '" + path + "': line " + std::to_string(line) + ": ";
+    EXPECT_EQ(msg.rfind(prefix, 0), 0u) << text << ": " << msg;
+    EXPECT_NE(msg.find(token), std::string::npos) << text << ": " << msg;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ResumeErrors, CsvHeaderMismatchIsLineOne) {
+  expect_reader_error("csv", "n,mean,title,easy\n1,0.5,a,1\n", 1,
+                      "header 'n,mean,title,easy' does not match");
+}
+
+TEST(ResumeErrors, CsvReaderNamesTheLineAndToken) {
+  expect_reader_error("csv", "n,mean,name,easy\n1,0.5,a,1\n2,0.5,\"a,1\n", 3,
+                      "malformed quoting");
+  expect_reader_error("csv", "n,mean,name,easy\n1,0.5,a\n", 2,
+                      "has 3 cells where the schema has 4");
+  expect_reader_error("csv", "n,mean,name,easy\nx,0.5,a,1\n", 2,
+                      "cell 'x' under column 'n' is not a valid size");
+  expect_reader_error("csv", "n,mean,name,easy\n1,0.5,a,yes\n", 2,
+                      "cell 'yes' under column 'easy'");
+}
+
+TEST(ResumeErrors, JsonlReaderNamesTheLineAndToken) {
+  const std::string good =
+      R"({"n":1,"mean":0.5,"name":"a","easy":true})"
+      "\n";
+  expect_reader_error("jsonl", good + "[1,2]\n", 2,
+                      "expected an object, got array");
+  expect_reader_error("jsonl", good + R"({"n":1})" "\n", 2,
+                      "has 1 fields where the schema has 4");
+  expect_reader_error(
+      "jsonl", good + R"({"mean":0.5,"n":1,"name":"a","easy":true})" "\n", 2,
+      "field 0 is 'mean' where the schema has 'n'");
+  expect_reader_error(
+      "jsonl", good + R"({"n":"1","mean":0.5,"name":"a","easy":true})" "\n",
+      2, "field 'n' is string where the schema declares size");
+}
+
+TEST(ResumeErrors, SinkWithoutAReaderIsNamed) {
+  // A sink may register only a factory; resuming its artifact must fail
+  // naming the sink rather than guessing a format.
+  SinkRegistry::instance().replace(
+      "write_only",
+      {"test sink with no artifact reader",
+       [](const SinkConfig& config) -> std::unique_ptr<ResultSink> {
+         return std::make_unique<JsonlSink>(config);
+       },
+       /*read=*/{}});
+  const std::string path = temp_path("resume_write_only.jsonl");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << R"({"n":1,"mean":0.5,"name":"a","easy":true})" "\n";
+  }
+  try {
+    (void)load_prior_output("write_only", path, reader_schema());
+    FAIL() << "expected ScenarioError";
+  } catch (const ScenarioError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("sink 'write_only' has no artifact reader"),
+              std::string::npos)
+        << msg;
+  }
+  std::remove(path.c_str());
 }
 
 #if defined(COLSCORE_HAVE_SQLITE)

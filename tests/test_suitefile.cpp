@@ -102,6 +102,9 @@ TEST(SuiteFile, DocumentMustBeAnObject) {
 
 TEST(SuiteFile, UnknownKeysAreRejectedWithTheAcceptedList) {
   expect_parse_error(R"({"grid": "n=1,2"})", {"unknown key \"grid\"", "grids"});
+  // No salt key: the base "seed" already moves every derived seed.
+  expect_parse_error(R"({"seed_salt": 7})",
+                     {"unknown key \"seed_salt\"", "derive_seeds"});
 }
 
 TEST(SuiteFile, WrongTypedValuesNameKeyAndKinds) {
