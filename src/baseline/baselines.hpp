@@ -1,6 +1,7 @@
-// Comparators for the evaluation: the reference points the T1/T2 benches
-// (bench_t1_vs_baseline, bench_t2_scoreboard) rank the Fig. 2 protocol
-// against, from both degenerate corners to the prior art.
+// Comparators for the evaluation: the reference points the T1/T2 paper
+// suites (examples/suites/paper/t1_vs_baseline.json, t2_scoreboard.json)
+// rank the Fig. 2 protocol against, from both degenerate corners to the
+// prior art.
 //
 //  * probe_all       — the trivial B = n algorithm: every player probes
 //                      every object. Zero error, maximal probes.

@@ -50,9 +50,12 @@ thread_local Binding tl_binding;
 }  // namespace
 
 ExecPolicy::ExecPolicy(ThreadPool* pool, std::size_t workers)
-    : pool_(pool),
-      workers_(workers),
-      arena_(std::make_shared<WorkspaceArena>()) {}
+    : pool_(pool), workers_(workers) {
+  // A serial policy runs on its caller's thread only, whose per-thread
+  // workspace is already private to it: no arena, so building one (every
+  // defaulted `ExecPolicy::serial()` argument) allocates nothing.
+  if (pool_ != nullptr) arena_ = std::make_shared<WorkspaceArena>();
+}
 
 ExecPolicy ExecPolicy::serial() { return ExecPolicy(nullptr, 1); }
 
@@ -61,11 +64,11 @@ ExecPolicy ExecPolicy::pool(ThreadPool& pool) {
 }
 
 RunWorkspace& ExecPolicy::workspace() const {
-  if (tl_binding.arena == arena_.get() && tl_binding.ws != nullptr)
+  if (arena_ != nullptr && tl_binding.arena == arena_.get())
     return *tl_binding.ws;
-  // Thread not bound to this policy (bench/test entry point, or a serial
-  // frame that never opened a WorkerScope): the per-thread workspace is
-  // private to the caller and therefore always safe.
+  // A serial policy, or a thread not bound to this policy (bench/test entry
+  // point): the per-thread workspace is private to the caller and therefore
+  // always safe.
   return RunWorkspace::current();
 }
 
@@ -85,7 +88,8 @@ void ExecPolicy::run_on_pool(std::size_t begin, std::size_t end,
 }
 
 WorkerScope::WorkerScope(const ExecPolicy& policy) : arena_(policy.arena_) {
-  if (tl_binding.arena == arena_.get()) return;  // nested frame: share slot
+  // Serial policy (no arena): nothing to bind. Nested frame: share the slot.
+  if (arena_ == nullptr || tl_binding.arena == arena_.get()) return;
   prev_arena_ = tl_binding.arena;
   prev_ws_ = tl_binding.ws;
   slot_ = arena_->acquire();

@@ -3,12 +3,14 @@
 //
 // A policy names *where* data-parallel work runs — serial inline, or on a
 // ThreadPool its caller owns; there is no process-wide pool behind it — and
-// *which* scratch it uses: each policy owns an arena of RunWorkspace slots,
-// and a worker executing under the policy is bound to exactly one slot for
-// the duration of its outermost frame (WorkerScope). Nested frames on the
-// same worker share that slot, preserving the CL001 workspace-group
-// contract, while two policies (two concurrent suites) can never alias
-// scratch because their arenas are disjoint.
+// *which* scratch it uses: each pool policy owns an arena of RunWorkspace
+// slots, and a worker executing under the policy is bound to exactly one
+// slot for the duration of its outermost frame (WorkerScope). Nested frames
+// on the same worker share that slot, preserving the CL001 workspace-group
+// contract, while two pool policies (two concurrent suites) can never alias
+// scratch because their arenas are disjoint. A serial policy holds no arena:
+// its work never leaves the calling thread, so it uses that thread's own
+// RunWorkspace.
 //
 // Migration rule for new code: take `const ExecPolicy&` (or a ProtocolEnv,
 // which carries one) and spell loops `policy.par_for(...)` / `env.par_for(...)`
@@ -44,9 +46,9 @@ class ExecPolicy {
   /// Number of workers a par_for may use (1 => par_for runs inline).
   std::size_t worker_count() const noexcept { return workers_; }
 
-  /// The workspace slot bound to the calling worker (via WorkerScope). On a
-  /// thread not bound to this policy's arena, falls back to the per-thread
-  /// workspace, which is always private to the caller.
+  /// The workspace slot bound to the calling worker (via WorkerScope). For a
+  /// serial policy, or on a thread not bound to this policy's arena, the
+  /// per-thread workspace, which is always private to the caller.
   RunWorkspace& workspace() const;
 
   /// Runs body(i) for every i in [begin, end); blocks until done. Serial
@@ -74,7 +76,7 @@ class ExecPolicy {
 
   ThreadPool* pool_ = nullptr;  // null => serial
   std::size_t workers_ = 1;     // cached thread count of pool_
-  std::shared_ptr<WorkspaceArena> arena_;
+  std::shared_ptr<WorkspaceArena> arena_;  // null => serial
 
   friend class WorkerScope;
 };
@@ -85,8 +87,9 @@ class ExecPolicy {
 /// shares the outer slot — exactly the old thread_local sharing that the
 /// CL001 group-ownership contract is written against. Pool workers get a
 /// scope automatically around their chunk-claiming loop; open one explicitly
-/// at a serial entry point (run_scenario does) so serial and pooled runs see
-/// the same workspace discipline.
+/// at an entry point that takes any policy (run_scenario does). Over a
+/// serial policy the scope binds nothing: the policy already uses the
+/// calling thread's own workspace.
 class WorkerScope {
  public:
   explicit WorkerScope(const ExecPolicy& policy);

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 
 namespace colscore {
 
@@ -20,9 +21,13 @@ inline double ln_clamped(std::size_t n) {
   return std::max(1.0, std::log(static_cast<double>(n)));
 }
 
-/// ceil of a positive double as size_t (>= 1).
+/// ceil of a positive double as size_t (>= 1), saturating at SIZE_MAX:
+/// a value the cast cannot represent would be undefined behaviour.
 inline std::size_t ceil_size(double x) {
-  return static_cast<std::size_t>(std::max(1.0, std::ceil(x)));
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  const double c = std::max(1.0, std::ceil(x));
+  if (c >= static_cast<double>(kMax)) return kMax;
+  return static_cast<std::size_t>(c);
 }
 
 }  // namespace colscore

@@ -13,8 +13,9 @@
 //     workspaces and binds one slot per participating thread for the
 //     duration of a par_for chunk loop. Slots are recycled across grid
 //     cells, which is exactly the per-worker pooling that lets cell N+1
-//     reuse cell N's allocations. Threads not running under any policy
-//     (plain unit tests) fall back to a thread-local instance.
+//     reuse cell N's allocations. A serial policy, and a thread running
+//     under no policy (plain unit tests), use a thread-local instance; a
+//     serial sweep releases it when the sweep ends (SuiteRunner::execute).
 //   * Buffers are grouped by owner (sel_* for the Select tournament, pf_*
 //     for the prefilter, zr_* for ZeroRadius adoption, vt_* for work-share
 //     voting, ze_* for ZeroRadius reassembly, nb_* for the CSR
@@ -43,6 +44,11 @@ namespace colscore {
 struct RunWorkspace {
   /// This thread's workspace (created on first use, lives with the thread).
   static RunWorkspace& current();
+
+  /// Hands every buffer back to the allocator, in destruction order; the
+  /// next user regrows them. Only between runs, while no frame is using
+  /// the workspace.
+  void release() { RunWorkspace gone = std::exchange(*this, RunWorkspace{}); }
 
   // ---- Select tournament (select.cpp play_general) -------------------------
   std::vector<std::uint64_t> sel_memo_words;  // WideProbeMemo seen/value planes

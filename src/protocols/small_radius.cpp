@@ -16,8 +16,10 @@ std::size_t subset_count(const SmallRadiusParams& params, std::size_t n_objects)
   const double raw = params.subset_scale *
                      std::pow(std::max<double>(1.0, static_cast<double>(params.diameter)),
                               params.subset_exponent);
-  const auto s = static_cast<std::size_t>(std::ceil(raw));
-  return std::clamp<std::size_t>(s, 1, n_objects);
+  // Clamp before the cast: a huge exponent makes `raw` inf, which no
+  // size_t can hold.
+  return static_cast<std::size_t>(
+      std::clamp(std::ceil(raw), 1.0, static_cast<double>(n_objects)));
 }
 
 }  // namespace

@@ -5,9 +5,9 @@
 // sinks, resume — is exercised by *injected* faults rather than trusted: a
 // FaultPlan names exact run indices (and optionally attempts) at which to
 // throw, delay, kill the process, or fail a sink write. Plans are parsed
-// from a spec string (`--faults` / a suite file's "faults" key / the
-// COLSCORE_FAULTS environment variable), so the same chaos scenario is
-// reproducible byte-for-byte in tests, CI, and a shell.
+// from a spec string (`--faults` or a suite file's "faults" key), so the
+// same chaos scenario is reproducible byte-for-byte in tests, CI, and a
+// shell.
 //
 // Spec grammar (comma-separated tokens):
 //   throw@I      every attempt of run index I throws FaultInjected

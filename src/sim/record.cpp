@@ -422,6 +422,9 @@ const MetricSchema& builtin_schema() {
 
     diag("honest_players", MetricType::kSize,
          "honest players scored by the error metrics");
+    diag("victim_err", MetricType::kSize,
+         "Hamming error of player 0: the honest player hijackers target, "
+         "random corruption protects, and the lower_bound pivot");
     diag("board_vectors", MetricType::kU64,
          "preference vectors published to the bulletin board");
     diag("planted_diameter", MetricType::kSize,
@@ -579,6 +582,7 @@ RunRecord make_run_record(const SuiteRun& run, const MetricSchema& schema) {
   record.set_f64("wall_s", out.wall_seconds);
 
   record.set_size("honest_players", out.honest_players);
+  if (out.victim_error) record.set_size("victim_err", *out.victim_error);
   record.set_u64("board_vectors", out.board_vectors);
   record.set_size("planted_diameter", out.planted_diameter);
   // Absent (not 0) for algorithms that elect no leaders, so summaries over

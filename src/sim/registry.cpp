@@ -814,6 +814,8 @@ ExperimentOutcome run_scenario(const Scenario& scenario,
   const std::vector<PlayerId> honest = pop.honest_players();
   outcome.honest_players = honest.size();
   outcome.error = error_stats(world.matrix, result.outputs, honest, policy);
+  if (scenario.n > 0)
+    outcome.victim_error = world.matrix.row(0).hamming(result.outputs[0]);
   outcome.planted_diameter = world.planted_diameter;
   outcome.total_probes = result.total_probes;
   outcome.max_probes = result.max_probes;

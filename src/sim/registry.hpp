@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -460,6 +461,10 @@ struct ExperimentOutcome {
   std::uint64_t total_probes = 0;
   std::uint64_t honest_max_probes = 0;
   std::size_t honest_players = 0;
+  /// Hamming error of player 0: the honest player hijackers target, that
+  /// corrupt_random protects, and the lower_bound workload's pivot. Empty
+  /// when the run has no players.
+  std::optional<std::size_t> victim_error;
   /// Bulletin-board traffic (§8 communication-cost accounting).
   std::uint64_t board_reports = 0;
   std::uint64_t board_vectors = 0;

@@ -9,6 +9,7 @@
 #include "src/common/strict_parse.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/common/timer.hpp"
+#include "src/common/workspace.hpp"
 #include "src/sim/fault.hpp"
 
 namespace colscore {
@@ -216,6 +217,19 @@ void SuiteRunner::execute(std::vector<SuiteRun>& runs) const {
     local_pool.emplace(options_.threads);  // 0 => hardware_concurrency()
     policy = ExecPolicy::pool(*local_pool);
   }
+  // A serial sweep of the runner's own scratches in the calling thread's
+  // workspace. It releases those buffers when the sweep ends, however it
+  // ends, as a pool policy's arena dies with its pool: a finished sweep
+  // keeps no high-water scratch, and its memory peak does not depend on
+  // the sweeps that ran before it.
+  struct ReleaseOnExit {
+    RunWorkspace* workspace;
+    ~ReleaseOnExit() {
+      if (workspace != nullptr) workspace->release();
+    }
+  };
+  const bool own_serial = options_.policy == nullptr && options_.threads == 1;
+  const ReleaseOnExit release{own_serial ? &policy.workspace() : nullptr};
 
   auto body = [&](std::size_t i) {
     SuiteRun& run = runs[i];

@@ -93,6 +93,24 @@ TEST(CliFrontEnd, SuiteFileMatchesTheEquivalentGrid) {
   }
 }
 
+TEST(CliFrontEnd, ListColumnsShowsVictimErrAsADiagnostic) {
+  const CliResult listed = cli("--list-columns");
+  ASSERT_EQ(listed.exit_code, 0) << listed.err;
+  std::istringstream lines(listed.out);
+  std::string line;
+  bool found = false;
+  while (std::getline(lines, line)) {
+    std::istringstream words(line);
+    std::string key, type, origin;
+    words >> key >> type >> origin;
+    if (key != "victim_err") continue;
+    found = true;
+    EXPECT_EQ(type, "size") << line;
+    EXPECT_EQ(origin, "diagnostic") << line;
+  }
+  EXPECT_TRUE(found) << listed.out;
+}
+
 TEST(CliFrontEnd, ShardsConcatenateToTheUnshardedRows) {
   const CliResult whole = cli("--sink jsonl" + kSmokeGrid);
   const CliResult first = cli("--sink jsonl --shard 0/2" + kSmokeGrid);

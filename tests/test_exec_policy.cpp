@@ -64,6 +64,25 @@ TEST(ExecPolicy, SerialParForRunsInOrderInline) {
   for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i + 3);
 }
 
+// A serial policy holds no arena: its workspace is the calling thread's own,
+// with or without a WorkerScope, and even on a thread bound to a pool's slot.
+TEST(ExecPolicy, SerialPolicyUsesTheCallingThreadsWorkspace) {
+  const ExecPolicy serial = ExecPolicy::serial();
+  RunWorkspace* mine = &RunWorkspace::current();
+  EXPECT_EQ(&serial.workspace(), mine);
+  {
+    WorkerScope scope(serial);
+    EXPECT_EQ(&serial.workspace(), mine);
+  }
+  ThreadPool pool(2);
+  const ExecPolicy pooled = ExecPolicy::pool(pool);
+  WorkerScope bound(pooled);
+  EXPECT_NE(&pooled.workspace(), mine);
+  WorkerScope scope(serial);  // binds nothing: the pool slot stays bound
+  EXPECT_EQ(&serial.workspace(), mine);
+  EXPECT_NE(&pooled.workspace(), mine);
+}
+
 TEST(ExecPolicy, PoolParForRunsEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   const ExecPolicy policy = ExecPolicy::pool(pool);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -108,6 +109,37 @@ TEST(RunRecordTest, DiagnosticsThatWereDroppedAreNowDeclared) {
     EXPECT_FALSE(spec.origin.empty()) << spec.key;
     EXPECT_FALSE(spec.description.empty()) << spec.key;
   }
+}
+
+TEST(RunRecordTest, VictimErrIsPlayerZerosError) {
+  // probe_all reads every bit, so player 0's output is exact.
+  const SuiteRun exact = run_one("algorithm=probe_all n=48 budget=4 opt=0");
+  const MetricSchema exact_schema = scenario_metric_schema(exact.scenario);
+  EXPECT_EQ(make_run_record(exact, exact_schema).value("victim_err").as_u64(),
+            0u);
+  // Player 0 is the hijackers' target and stays honest, so its error is
+  // one of those max_err ranges over.
+  const SuiteRun hijacked = run_one(
+      "adversary=hijacker n=128 budget=4 diameter=8 dishonest=10 opt=0");
+  const MetricSchema schema = scenario_metric_schema(hijacked.scenario);
+  const RunRecord record = make_run_record(hijacked, schema);
+  ASSERT_TRUE(hijacked.outcome.victim_error.has_value());
+  EXPECT_EQ(record.value("victim_err").as_u64(),
+            *hijacked.outcome.victim_error);
+  EXPECT_LE(record.value("victim_err").as_u64(),
+            record.value("max_err").as_u64());
+  // A run without players has no player 0: the cell stays absent.
+  const SuiteRun empty = run_one("workload=uniform n=0 opt=0");
+  if (empty.status == RunStatus::kOk) {
+    const MetricSchema empty_schema = scenario_metric_schema(empty.scenario);
+    EXPECT_FALSE(
+        make_run_record(empty, empty_schema).value("victim_err").has_value());
+  }
+  // A diagnostic: declared, but not one of the default columns.
+  ASSERT_NE(schema.find("victim_err"), nullptr);
+  EXPECT_EQ(schema.find("victim_err")->origin, "diagnostic");
+  const std::vector<std::string> defaults = default_columns(true, true);
+  EXPECT_EQ(std::count(defaults.begin(), defaults.end(), "victim_err"), 0);
 }
 
 TEST(FormatMetricDouble, HistoricalAndRoundTrip) {

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
+#include <vector>
+
+#include "src/sim/suite.hpp"
 
 namespace colscore {
 namespace {
@@ -195,6 +199,24 @@ TEST(Scenario, ResolveRejectsOverridesThatSwitchAStepOff) {
   EXPECT_EQ(ok.params.cluster_slack, 0.0);
   EXPECT_EQ(Scenario::resolve(ScenarioSpec::parse("vote_min=0")).params.vote_min,
             0u);
+}
+
+// Huge but finite Params values saturate instead of reaching an undefined
+// float->size_t cast: an exponent that makes the SmallRadius subset count
+// inf clamps to |O| like any count past it, and a diameter constant past
+// SIZE_MAX saturates like any diameter beyond every Hamming distance.
+TEST(Registry, HugeParamsRunLikeLargeOnes) {
+  const auto row = [](const std::string& knob) {
+    SuiteOptions options;
+    options.threads = 1;
+    options.derive_seeds = false;
+    const std::vector<SuiteRun> runs = SuiteRunner(options).run(
+        {ScenarioSpec::parse("n=128 budget=4 opt=0 " + knob)});
+    EXPECT_EQ(runs.front().status, RunStatus::kOk) << knob << runs.front().error;
+    return suite_row_cells(runs.front());
+  };
+  EXPECT_EQ(row("sr_subset_exponent=1000"), row("sr_subset_exponent=5"));
+  EXPECT_EQ(row("sr_diameter_c=1e300"), row("sr_diameter_c=1e15"));
 }
 
 TEST(Registry, WorkloadPreconditionsFailByKeyNotByAbort) {

@@ -339,9 +339,8 @@ TEST(CrashDurability, KilledCliLeavesAResumableTmpArtifact) {
 
   // kill@2: the process SIGKILLs itself as run 2 starts — no cleanup, no
   // rename; rows 0..1 must already be durable in PATH.tmp.
-  const int status = std::system(("COLSCORE_FAULTS='kill@2' " + args +
-                                  " --out " + out + " >/dev/null 2>&1")
-                                     .c_str());
+  const int status = std::system(
+      (args + " --faults kill@2 --out " + out + " >/dev/null 2>&1").c_str());
   // std::system goes through sh -c: depending on the shell, the child's
   // SIGKILL surfaces as a signal status or as exit code 128+9.
   const bool killed =

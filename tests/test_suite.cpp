@@ -7,10 +7,12 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 
 #include "src/common/csv.hpp"
 #include "src/common/exec_policy.hpp"
 #include "src/common/thread_pool.hpp"
+#include "src/common/workspace.hpp"
 
 namespace colscore {
 namespace {
@@ -113,6 +115,33 @@ TEST(SuiteRunner, ExplicitPolicyMatchesThreadsDispatch) {
   SuiteRunner runner(options);
   runner.run_grid(small_base(), grid);
   EXPECT_EQ(serial, out.str());
+}
+
+TEST(SuiteRunner, SerialSweepReleasesTheCallersWorkspace) {
+  // A serial sweep scratches in the calling thread's workspace and hands
+  // the buffers back when it ends, also when its sink throws, so a later
+  // sweep's memory does not depend on the ones before it.
+  const RunWorkspace& mine = RunWorkspace::current();
+  std::size_t in_use = 0;
+  SuiteOptions options;
+  options.threads = 1;
+  options.on_result = [&](const SuiteRun&) {
+    in_use = mine.cp_candidates.size();
+  };
+  SuiteRunner(options).run_grid(small_base(), "adversary=none,sleeper");
+  EXPECT_GT(in_use, 0u);
+  EXPECT_EQ(mine.cp_candidates.capacity(), 0u);
+  EXPECT_TRUE(mine.cp_z.empty());
+
+  in_use = 0;
+  options.on_result = [&](const SuiteRun&) {
+    in_use = mine.cp_candidates.size();
+    throw std::runtime_error("sink died");
+  };
+  EXPECT_THROW(SuiteRunner(options).run_grid(small_base(), "seed=1,2"),
+               std::runtime_error);
+  EXPECT_GT(in_use, 0u);
+  EXPECT_EQ(mine.cp_candidates.capacity(), 0u);
 }
 
 TEST(SuiteRunner, StreamsResultsInIndexOrder) {

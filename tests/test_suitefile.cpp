@@ -6,8 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
+#include <filesystem>
 #include <sstream>
+#include <vector>
 
 #include "src/common/csv.hpp"
 
@@ -210,18 +211,35 @@ TEST(SuiteFile, UnknownSinkFailsWithRegisteredAlternatives) {
   }
 }
 
-TEST(SuiteFile, CheckedInSmokeSuiteStaysValid) {
-  // The CI workflow depends on examples/suites/smoke.json expanding to 8
-  // runs; keep the artifact and this expectation in sync. ctest runs from
-  // the build directory, so try one level up too.
-  std::ifstream in("examples/suites/smoke.json");
-  if (!in.is_open()) in.open("../examples/suites/smoke.json");
-  if (!in.is_open()) GTEST_SKIP() << "run from the repo root to check";
-  std::ostringstream text;
-  text << in.rdbuf();
-  const SuiteFile file = parse_suite_file(text.str(), "smoke.json");
-  EXPECT_EQ(file.expand().size() * file.options.reps, 8u);
-  EXPECT_EQ(file.sink, "jsonl");
+TEST(SuiteFile, CheckedInSuitesStayValid) {
+  // Every checked-in suite, examples/suites/paper/ included, must load
+  // (which resolves its specs and validates its columns), plan (reps need
+  // derived seeds) and name a registered sink.
+  namespace fs = std::filesystem;
+  const fs::path root = fs::path(COLSCORE_SOURCE_DIR) / "examples" / "suites";
+  std::vector<fs::path> paths;
+  for (const fs::directory_entry& entry :
+       fs::recursive_directory_iterator(root))
+    if (entry.is_regular_file() && entry.path().extension() == ".json")
+      paths.push_back(entry.path());
+  std::size_t paper = 0;
+  for (const fs::path& path : paths) {
+    try {
+      const SuiteFile file = load_suite_file(path.string());
+      (void)SuiteRunner(file.options).plan(file.expand());
+      EXPECT_TRUE(SinkRegistry::instance().contains(file.sink)) << path;
+    } catch (const ScenarioError& e) {
+      ADD_FAILURE() << e.what();
+    }
+    if (path.parent_path().filename() == "paper") ++paper;
+  }
+  EXPECT_GT(paper, 0u) << "no suite under " << (root / "paper");
+
+  // The CI workflow depends on smoke.json expanding to 8 runs; keep the
+  // artifact and this expectation in sync.
+  const SuiteFile smoke = load_suite_file((root / "smoke.json").string());
+  EXPECT_EQ(smoke.expand().size() * smoke.options.reps, 8u);
+  EXPECT_EQ(smoke.sink, "jsonl");
 }
 
 }  // namespace

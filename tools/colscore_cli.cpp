@@ -75,7 +75,6 @@ namespace {
       "                      classification is post-hoc, the run is not preempted\n"
       "  --backoff-s X       retry k sleeps X*2^(k-1) seconds first (default 0.05)\n"
       "  --faults SPEC       deterministic fault injection, e.g. \"throw@3,delay@7=1x2\"\n"
-      "                      (also read from COLSCORE_FAULTS when the flag is absent)\n"
       "  --shard I/K         run only shard I of K (contiguous slice of the flat\n"
       "                      run-index space; per-run seeds are unchanged, so K\n"
       "                      shard outputs concatenate to the unsharded rows)\n"
@@ -168,12 +167,6 @@ int run(int argc, char** argv) {
   // file loads only after every flag has been read, so each runner flag
   // queues its write to the one SuiteFile field it sets.
   std::vector<std::function<void(SuiteFile&)>> runner_flags;
-  // COLSCORE_FAULTS lets the chaos/crash tests inject faults into an
-  // unmodified command line; an explicit --faults, queued later, wins.
-  if (const char* env = std::getenv("COLSCORE_FAULTS");
-      env != nullptr && *env != '\0')
-    runner_flags.push_back(
-        [text = std::string(env)](SuiteFile& f) { f.faults = text; });
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
