@@ -4,10 +4,8 @@
 
 #include <initializer_list>
 #include <ostream>
-#include <sstream>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 namespace colscore {
@@ -21,27 +19,9 @@ class CsvWriter {
   void row(std::initializer_list<std::string> values);
   void row(const std::vector<std::string>& values);
 
-  template <typename... Ts>
-  void row_values(const Ts&... vals) {
-    std::vector<std::string> cells;
-    cells.reserve(sizeof...(Ts));
-    (cells.push_back(to_cell(vals)), ...);
-    write_row(cells);
-  }
-
   std::size_t rows_written() const noexcept { return rows_; }
 
  private:
-  template <typename T>
-  static std::string to_cell(const T& v) {
-    if constexpr (std::is_convertible_v<T, std::string>) {
-      return std::string(v);
-    } else {
-      std::ostringstream os;
-      os << v;
-      return os.str();
-    }
-  }
   void write_row(const std::vector<std::string>& cells);
 
   std::ostream& out_;

@@ -3,14 +3,14 @@
 //
 // A policy names *where* data-parallel work runs — serial inline, or on a
 // ThreadPool its caller owns; there is no process-wide pool behind it — and
-// *which* scratch it uses: each pool policy owns an arena of RunWorkspace
-// slots, and a worker executing under the policy is bound to exactly one
-// slot for the duration of its outermost frame (WorkerScope). Nested frames
-// on the same worker share that slot, preserving the CL001 workspace-group
-// contract, while two pool policies (two concurrent suites) can never alias
-// scratch because their arenas are disjoint. A serial policy holds no arena:
-// its work never leaves the calling thread, so it uses that thread's own
-// RunWorkspace.
+// holds nothing else: it is a {pool pointer, worker count} value built at
+// the call site. Scratch belongs to the executing thread: workspace()
+// returns the calling thread's RunWorkspace. That is all the CL001
+// workspace-group contract needs, because a thread's frame stack only ever
+// holds one piece of work plus the nested loops it claimed itself —
+// ThreadPool::parallel_for never runs a foreign queue entry while it waits —
+// so nested frames on one thread share its workspace and frames on
+// different threads never do.
 //
 // Migration rule for new code: take `const ExecPolicy&` (or a ProtocolEnv,
 // which carries one) and spell loops `policy.par_for(...)` / `env.par_for(...)`
@@ -21,14 +21,11 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 
 #include "src/common/thread_pool.hpp"
 #include "src/common/workspace.hpp"
 
 namespace colscore {
-
-class WorkspaceArena;
 
 class ExecPolicy {
  public:
@@ -40,15 +37,11 @@ class ExecPolicy {
   /// destruction order is safe).
   static ExecPolicy pool(ThreadPool& pool);
 
-  ExecPolicy(const ExecPolicy&) = default;
-  ExecPolicy& operator=(const ExecPolicy&) = default;
-
   /// Number of workers a par_for may use (1 => par_for runs inline).
   std::size_t worker_count() const noexcept { return workers_; }
 
-  /// The workspace slot bound to the calling worker (via WorkerScope). For a
-  /// serial policy, or on a thread not bound to this policy's arena, the
-  /// per-thread workspace, which is always private to the caller.
+  /// The calling thread's workspace: pool workers scratch in their own,
+  /// and a serial loop in its caller's.
   RunWorkspace& workspace() const;
 
   /// Runs body(i) for every i in [begin, end); blocks until done. Serial
@@ -63,45 +56,26 @@ class ExecPolicy {
       for (std::size_t i = begin; i < end; ++i) body(i);
       return;
     }
-    run_on_pool(begin, end,
-                std::function<void(std::size_t)>(std::ref(body)), grain);
+    pool_->parallel_for(begin, end,
+                        std::function<void(std::size_t)>(std::ref(body)),
+                        grain);
   }
 
  private:
-  ExecPolicy(ThreadPool* pool, std::size_t workers);
-
-  void run_on_pool(std::size_t begin, std::size_t end,
-                   const std::function<void(std::size_t)>& body,
-                   std::size_t grain) const;
+  ExecPolicy(ThreadPool* pool, std::size_t workers)
+      : pool_(pool), workers_(workers) {}
 
   ThreadPool* pool_ = nullptr;  // null => serial
   std::size_t workers_ = 1;     // cached thread count of pool_
-  std::shared_ptr<WorkspaceArena> arena_;  // null => serial
-
-  friend class WorkerScope;
 };
 
-/// Binds the calling thread to a workspace slot of `policy` for the scope's
-/// lifetime. Reentrant per thread: if the thread is already bound to the same
-/// policy's arena (an outer frame), the scope is a no-op and the nested frame
-/// shares the outer slot — exactly the old thread_local sharing that the
-/// CL001 group-ownership contract is written against. Pool workers get a
-/// scope automatically around their chunk-claiming loop; open one explicitly
-/// at an entry point that takes any policy (run_scenario does). Over a
-/// serial policy the scope binds nothing: the policy already uses the
-/// calling thread's own workspace.
+/// Binds nothing: scratch belongs to the thread, so there is no slot to
+/// bind. The type survives only because the bench/e2e replay of
+/// run_scenario still opens one; it goes away together with that replay.
+/// Lint rule CL012 keeps it out of the rest of src/.
 class WorkerScope {
  public:
-  explicit WorkerScope(const ExecPolicy& policy);
-  ~WorkerScope();
-  WorkerScope(const WorkerScope&) = delete;
-  WorkerScope& operator=(const WorkerScope&) = delete;
-
- private:
-  std::shared_ptr<WorkspaceArena> arena_;  // keepalive for straggler helpers
-  RunWorkspace* slot_ = nullptr;           // null => reused an outer binding
-  const WorkspaceArena* prev_arena_ = nullptr;
-  RunWorkspace* prev_ws_ = nullptr;
+  explicit WorkerScope(const ExecPolicy&) {}
 };
 
 }  // namespace colscore

@@ -39,19 +39,12 @@ void ThreadPool::worker_loop() {
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& body,
-                              std::size_t grain, const ThreadScope& scope) {
+                              std::size_t grain) {
   if (begin >= end) return;
   const std::size_t count = end - begin;
   const std::size_t threads = thread_count();
   if (threads <= 1 || count == 1) {
-    const auto inline_loop = [&] {
-      for (std::size_t i = begin; i < end; ++i) body(i);
-    };
-    if (scope) {
-      scope(inline_loop);
-    } else {
-      inline_loop();
-    }
+    for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }
   if (grain == 0) grain = std::max<std::size_t>(1, count / (threads * 8));
@@ -83,42 +76,32 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
 
   const std::size_t n_tasks = std::min(threads, (count + grain - 1) / grain);
 
-  // `scope` is copied into run_chunks (and thus into every queued task):
-  // a helper scheduled after the caller returned must still own the
-  // per-thread context it binds, not borrow it from a dead frame.
-  auto run_chunks = [grain, scope](const std::shared_ptr<Shared>& s) {
-    const auto claim_loop = [&] {
-      for (;;) {
-        // in_flight brackets the claim: once a thread holds a chunk with
-        // lo < end, the caller cannot observe (next >= end && in_flight == 0)
-        // and so cannot return while s->body is being used.
-        s->in_flight.fetch_add(1);
-        const std::size_t lo = s->next.fetch_add(grain);
-        if (lo >= s->end) {
-          if (s->in_flight.fetch_sub(1) == 1) {
-            std::lock_guard done_lock(s->done_mutex);
-            s->done_cv.notify_all();
-          }
-          break;
-        }
-        const std::size_t hi = std::min(s->end, lo + grain);
-        try {
-          for (std::size_t i = lo; i < hi; ++i) (*s->body)(i);
-        } catch (...) {
-          std::lock_guard lock(s->error_mutex);
-          if (!s->error) s->error = std::current_exception();
-          s->next.store(s->end);  // cancel remaining chunks
-        }
+  auto run_chunks = [grain](const std::shared_ptr<Shared>& s) {
+    for (;;) {
+      // in_flight brackets the claim: once a thread holds a chunk with
+      // lo < end, the caller cannot observe (next >= end && in_flight == 0)
+      // and so cannot return while s->body is being used.
+      s->in_flight.fetch_add(1);
+      const std::size_t lo = s->next.fetch_add(grain);
+      if (lo >= s->end) {
         if (s->in_flight.fetch_sub(1) == 1) {
           std::lock_guard done_lock(s->done_mutex);
           s->done_cv.notify_all();
         }
+        break;
       }
-    };
-    if (scope) {
-      scope(claim_loop);
-    } else {
-      claim_loop();
+      const std::size_t hi = std::min(s->end, lo + grain);
+      try {
+        for (std::size_t i = lo; i < hi; ++i) (*s->body)(i);
+      } catch (...) {
+        std::lock_guard lock(s->error_mutex);
+        if (!s->error) s->error = std::current_exception();
+        s->next.store(s->end);  // cancel remaining chunks
+      }
+      if (s->in_flight.fetch_sub(1) == 1) {
+        std::lock_guard done_lock(s->done_mutex);
+        s->done_cv.notify_all();
+      }
     }
   };
 

@@ -34,18 +34,11 @@ class ThreadPool {
 
   std::size_t thread_count() const noexcept { return workers_.size(); }
 
-  /// Wraps each participating thread's whole chunk-claiming loop (not each
-  /// chunk): the pool calls scope(loop) once per thread, and the callable
-  /// runs loop() inside whatever per-thread context it establishes.
-  /// ExecPolicy uses this to bind a workspace slot to the worker for the
-  /// duration of its participation.
-  using ThreadScope = std::function<void(const std::function<void()>&)>;
-
   /// Runs body(i) for every i in [begin, end); blocks until done.
   /// Exceptions from body are rethrown (first one wins).
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body,
-                    std::size_t grain = 0, const ThreadScope& scope = {});
+                    std::size_t grain = 0);
 
  private:
   void worker_loop();

@@ -1,21 +1,21 @@
-// Per-worker run workspace: reusable scratch for the protocol hot path.
+// Per-thread run workspace: reusable scratch for the protocol hot path.
 //
 // A whole-suite sweep executes millions of small protocol steps (Select
 // tournaments, ZeroRadius adoptions, voting slates), and before PR 3 every
 // one of them re-malloc'd its scratch — diff buffers, probe memos, voter
 // assignments — from cold. RunWorkspace keeps one set of named, growable
-// buffers per worker; a buffer grows to the high-water mark of the runs its
-// worker executes and then stops touching the allocator entirely.
+// buffers per thread; a buffer grows to the high-water mark of the runs its
+// thread executes and then stops touching the allocator entirely.
 //
 // Contract (see ROADMAP "Performance" and "Execution policy"):
 //   * Access via ExecPolicy::workspace() (protocol code spells it
-//     ProtocolEnv::workspace()) — each ExecPolicy owns an arena of
-//     workspaces and binds one slot per participating thread for the
-//     duration of a par_for chunk loop. Slots are recycled across grid
-//     cells, which is exactly the per-worker pooling that lets cell N+1
-//     reuse cell N's allocations. A serial policy, and a thread running
-//     under no policy (plain unit tests), use a thread-local instance; a
-//     serial sweep releases it when the sweep ends (SuiteRunner::execute).
+//     ProtocolEnv::workspace()), which returns the calling thread's
+//     instance. Every per-player step is data-parallel over players, so a
+//     player's scratch lives for one frame on one thread, and the thread's
+//     buffers stay warm across the grid cells it runs: cell N+1 reuses
+//     cell N's allocations. A sweep does not keep them: SuiteRunner::execute
+//     releases the calling thread's workspace when the sweep ends, and a
+//     suite-owned pool's threads free theirs when the pool joins them.
 //   * Buffers are grouped by owner (sel_* for the Select tournament, pf_*
 //     for the prefilter, zr_* for ZeroRadius adoption, vt_* for work-share
 //     voting, ze_* for ZeroRadius reassembly, nb_* for the CSR
@@ -26,8 +26,10 @@
 //     A function may only touch its own group, because nested frames on one
 //     thread are live simultaneously: select_prefiltered (pf_*) is still
 //     using its finalist list while the inner tournament (sel_*) runs, and
-//     a parallel_for body shares a thread — and therefore a workspace —
-//     with the caller that spawned it.
+//     a par_for body shares a thread — and therefore a workspace — with
+//     the caller that spawned it. A thread never holds two runs' frames at
+//     once: ThreadPool::parallel_for does not run foreign queue entries
+//     while it waits.
 //   * Every user re-initialises (assign/resize/clear) what it reads; no
 //     state is carried between calls on purpose.
 #pragma once

@@ -34,10 +34,9 @@ struct ProtocolEnv {
   /// Root seed for per-player local randomness (probe sampling in RSelect
   /// etc.). Local randomness is private to a player, never shared.
   std::uint64_t local_seed;
-  /// Where this invocation's data-parallel loops run and which workspace
-  /// arena their workers bind (see exec_policy.hpp). Held by value — a copy
-  /// shares the original's pool and workspace arena — so callers may pass a
-  /// temporary (e.g. ExecPolicy::serial()).
+  /// Where this invocation's data-parallel loops run (see exec_policy.hpp).
+  /// Held by value — a copy names the original's pool — so callers may pass
+  /// a temporary (e.g. ExecPolicy::serial()).
   const ExecPolicy policy;
 
   /// A player privately learning one of its own preference bits. Honest
@@ -93,9 +92,8 @@ struct ProtocolEnv {
     return WideProbeMemo(oracle, p, objects, population.is_honest(p), planes);
   }
 
-  /// The executing worker's reusable scratch, owned by the policy's arena
-  /// (see src/common/workspace.hpp for the group-aliasing contract and
-  /// exec_policy.hpp for the per-worker binding).
+  /// The executing thread's reusable scratch (see src/common/workspace.hpp
+  /// for the group-aliasing contract).
   RunWorkspace& workspace() const { return policy.workspace(); }
 
   /// Runs body(i) for i in [begin, end) under this env's policy.

@@ -305,8 +305,10 @@ MetricSchema summarized_schema(const MetricSchema& schema, SummaryStat stat) {
   for (const MetricSpec& spec : schema.specs()) {
     MetricSpec s = spec;
     if (!s.run_identity &&
-        (s.type == MetricType::kU64 || s.type == MetricType::kSize)) {
-      // A mean of integers is fractional; keep it exact in text form.
+        (s.type == MetricType::kU64 || s.type == MetricType::kSize ||
+         s.type == MetricType::kF64)) {
+      // A mean is fractional and belongs to no golden: keep it exact in
+      // text form, f64 columns with a historical per-run spelling included.
       s.type = MetricType::kF64;
       s.f64_format = F64Format::kRoundTrip;
     }

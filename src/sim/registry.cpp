@@ -106,8 +106,9 @@ constexpr const char* kCoreKeys[] = {
     "reps", "dishonest", "zipf", "opt",      "paper_params",
 };
 
-/// A count the protocols assert is at least 1; a zero must fail at resolve(),
-/// not abort a sweep mid-run.
+/// A count the protocols assert is at least 1, or a player count (n=0 has
+/// no run to score); a zero must fail at resolve(), not abort a sweep
+/// mid-run or print a row for nothing.
 std::size_t parse_positive(const std::string& key, const std::string& value) {
   const std::size_t v = parse_size(key, value);
   if (v == 0) bad_value(key, value, "a positive integer");
@@ -118,7 +119,7 @@ std::size_t parse_positive(const std::string& key, const std::string& value) {
 /// core key.
 bool apply_core_override(Scenario& sc, const std::string& key,
                          const std::string& value) {
-  if (key == "n") sc.n = parse_size(key, value);
+  if (key == "n") sc.n = parse_positive(key, value);
   else if (key == "budget") sc.budget = parse_positive(key, value);
   else if (key == "seed") sc.seed = parse_u64(key, value);
   else if (key == "diameter") sc.diameter = parse_size(key, value);
@@ -788,11 +789,6 @@ Population build_scenario_population(const Scenario& scenario, const World& worl
 ExperimentOutcome run_scenario(const Scenario& scenario,
                                const ExecPolicy& policy) {
   Timer timer;
-  // Bind the calling thread to one of the policy's workspace slots for the
-  // whole run; nested protocol frames (and pool workers, via their own
-  // scopes) share or acquire slots from the same arena, so two scenarios on
-  // disjoint policies can never alias scratch.
-  WorkerScope worker(policy);
   const World world = build_scenario_world(scenario, policy);
   const Population pop = build_scenario_population(scenario, world);
   ProbeOracle oracle(world.matrix);

@@ -489,8 +489,7 @@ Population build_scenario_population(const Scenario& scenario, const World& worl
 
 /// Runs one scenario end-to-end: world, population, algorithm, metrics.
 /// Every parallel loop in the run (protocols, metrics) executes under
-/// `policy`, and the calling thread is bound to one of the policy's
-/// workspace slots for the duration.
+/// `policy`; each thread scratches in its own workspace.
 ExperimentOutcome run_scenario(const Scenario& scenario,
                                const ExecPolicy& policy = ExecPolicy::serial());
 

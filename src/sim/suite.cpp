@@ -205,31 +205,23 @@ void SuiteRunner::execute(std::vector<SuiteRun>& runs) const {
   };
 
   // One policy serves the suite loop and every nested protocol loop of its
-  // runs: run_scenario executes on a suite worker already bound to the
-  // policy's arena, so its WorkerScope reuses the worker's slot and the
-  // protocol's inner par_fors claim chunks from the same pool (the
+  // runs: a run's inner par_fors claim chunks from the same pool (the
   // chunk-claiming loop self-completes, so nesting cannot deadlock).
   std::optional<ThreadPool> local_pool;
-  ExecPolicy policy = ExecPolicy::serial();
-  if (options_.policy != nullptr) {
-    policy = *options_.policy;
-  } else if (options_.threads != 1) {
+  if (options_.threads != 1)
     local_pool.emplace(options_.threads);  // 0 => hardware_concurrency()
-    policy = ExecPolicy::pool(*local_pool);
-  }
-  // A serial sweep of the runner's own scratches in the calling thread's
-  // workspace. It releases those buffers when the sweep ends, however it
-  // ends, as a pool policy's arena dies with its pool: a finished sweep
+  const ExecPolicy policy =
+      local_pool ? ExecPolicy::pool(*local_pool) : ExecPolicy::serial();
+  // Every thread scratches in its own workspace. The calling thread
+  // releases its buffers when the sweep ends, however it ends, and the
+  // pool's threads free theirs when the pool joins them: a finished sweep
   // keeps no high-water scratch, and its memory peak does not depend on
   // the sweeps that ran before it.
   struct ReleaseOnExit {
-    RunWorkspace* workspace;
-    ~ReleaseOnExit() {
-      if (workspace != nullptr) workspace->release();
-    }
+    RunWorkspace& workspace;
+    ~ReleaseOnExit() { workspace.release(); }
   };
-  const bool own_serial = options_.policy == nullptr && options_.threads == 1;
-  const ReleaseOnExit release{own_serial ? &policy.workspace() : nullptr};
+  const ReleaseOnExit release{policy.workspace()};
 
   auto body = [&](std::size_t i) {
     SuiteRun& run = runs[i];

@@ -4,9 +4,11 @@
 // product, last axis fastest) into a list of ScenarioSpecs over a base spec.
 // The runner resolves every spec up front, derives a per-run seed from the
 // run *index* (mix_keys-style — never from thread identity or completion
-// order), and executes the runs on a thread pool. Results stream through an
-// optional callback in run-index order, so a parallel suite produces output
-// byte-identical to a serial one.
+// order), and executes the runs serially or on a pool it owns for the
+// sweep. Results stream through an optional callback in run-index order, so
+// a parallel suite produces output byte-identical to a serial one. Every
+// thread of a sweep scratches in its own RunWorkspace, and none keeps that
+// scratch once the sweep ends.
 #pragma once
 
 #include <cstdint>
@@ -79,16 +81,12 @@ struct SuiteRun {
 };
 
 struct SuiteOptions {
-  /// Worker threads for the suite loop. 0 = a suite-owned pool of one
-  /// thread per hardware thread; 1 = fully serial in the calling thread;
-  /// N = a suite-owned pool of N threads. Ignored when `policy` is set.
+  /// Worker threads for the suite loop and every run under it. 0 = a
+  /// suite-owned pool of one thread per hardware thread; 1 = fully serial
+  /// in the calling thread; N = a suite-owned pool of N threads. Each
+  /// runner builds its own pool, so runners driven concurrently share no
+  /// thread and no scratch.
   std::size_t threads = 0;
-  /// Explicit execution policy for the suite loop and every run under it
-  /// (overrides `threads`). Not owned; must outlive execute(). This is the
-  /// seam concurrent suites plug into: two runners on disjoint
-  /// ExecPolicy::pool(...) instances share no pool and no workspace arena,
-  /// so they can run side by side in one process.
-  const ExecPolicy* policy = nullptr;
   /// Multi-seed replication: every spec expands into `reps` runs (rep ids
   /// vary fastest) whose seeds derive from the distinct flat run indices.
   /// Grid sweeps set this with a `reps=K` axis. Requires derive_seeds —
@@ -160,6 +158,8 @@ class SuiteRunner {
   /// run, ordered streaming through on_result, shard selection. Runs
   /// pre-marked kSkipped are not executed but still stream (resume
   /// substitution); sharding trims which indices participate at all.
+  /// Releases the calling thread's workspace on return, so it is not called
+  /// from inside a frame that holds workspace buffers.
   void execute(std::vector<SuiteRun>& runs) const;
 
   /// plan() + execute(). Resolution errors (unknown names/keys) throw

@@ -1,7 +1,7 @@
 // lint-fixture-as: src/metrics/fixture_ambient.cpp
 // CL012: library loops name their ExecPolicy; the ambient spellings couple
-// concurrent suites through process globals and bypass the policy-owned
-// workspace arenas.
+// concurrent suites through process globals, scratch is spelled through the
+// policy, and the leftover WorkerScope gains no users.
 #include "src/common/exec_policy.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/common/workspace.hpp"
@@ -12,12 +12,15 @@ void fixture_ambient_execution(const ExecPolicy& policy, std::size_t n) {
   ThreadPool& pool = ThreadPool::global();           // VIOLATION
   parallel_for(0, n, [](std::size_t) {});            // VIOLATION
   RunWorkspace& ws = RunWorkspace::current();        // VIOLATION
-  // colscore-lint: allow(CL012) fixture: documented unbound-thread fallback
+  // colscore-lint: allow(CL012) fixture: a documented direct access
   RunWorkspace& fallback = RunWorkspace::current();  // suppressed
+  WorkerScope scope(policy);                         // VIOLATION
   policy.par_for(0, n, [](std::size_t) {});          // sanctioned: fine
+  RunWorkspace& scratch = policy.workspace();        // sanctioned: fine
   (void)pool;
   (void)ws;
   (void)fallback;
+  (void)scratch;
 }
 
 // The PR 10 shape: a streaming epoch loop whose per-epoch fan-out grabs the

@@ -21,7 +21,7 @@ TEST(Csv, HeaderAndRows) {
   std::ostringstream os;
   CsvWriter w(os, {"a", "b", "c"});
   w.row({"1", "2", "3"});
-  w.row_values(4, 5.5, "six");
+  w.row(std::vector<std::string>{"4", "5.5", "six"});
   EXPECT_EQ(os.str(), "a,b,c\n1,2,3\n4,5.5,six\n");
   EXPECT_EQ(w.rows_written(), 2u);
 }

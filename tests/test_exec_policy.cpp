@@ -1,15 +1,13 @@
-// PR 9 proof point for the ExecPolicy redesign: execution is fully explicit.
-// Two SuiteRunners on disjoint pools run concurrently and still produce
-// byte-identical JSONL to a serial run, because no execution state is
-// process-wide; and each policy owns its workspace arena, so
-// concurrent suites never alias scratch buffers. The whole binary runs under
-// the tsan CI leg (COLSCORE_SAN=thread).
+// Proof point for the ExecPolicy design: execution is fully explicit and
+// scratch belongs to the thread. Two SuiteRunners, each on the pool it owns,
+// run concurrently and still produce byte-identical JSONL to a serial run,
+// because no execution state is process-wide and no thread ever runs two
+// runs' frames at once. The whole binary runs under the tsan CI leg
+// (COLSCORE_SAN=thread).
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
-#include <mutex>
-#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -32,9 +30,9 @@ std::vector<ScenarioSpec> small_specs() {
                      parse_grid("adversary=none,sleeper x algorithm=calc,baseline"));
 }
 
-/// Runs the pinned grid under `policy` and returns the typed-JSONL bytes.
+/// Runs the pinned grid on `threads` and returns the typed-JSONL bytes.
 std::string suite_jsonl(const std::vector<ScenarioSpec>& specs,
-                        const ExecPolicy& policy) {
+                        std::size_t threads) {
   const MetricSchema schema = [&] {
     std::vector<Scenario> resolved;
     for (const ScenarioSpec& s : specs) resolved.push_back(Scenario::resolve(s));
@@ -46,7 +44,7 @@ std::string suite_jsonl(const std::vector<ScenarioSpec>& specs,
   JsonlSink sink(config);
   RecordStream stream(sink, schema, default_columns());
   SuiteOptions options;
-  options.policy = &policy;
+  options.threads = threads;
   options.on_result = [&](const SuiteRun& run) {
     stream.write(make_run_record(run, schema));
   };
@@ -64,25 +62,6 @@ TEST(ExecPolicy, SerialParForRunsInOrderInline) {
   for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i + 3);
 }
 
-// A serial policy holds no arena: its workspace is the calling thread's own,
-// with or without a WorkerScope, and even on a thread bound to a pool's slot.
-TEST(ExecPolicy, SerialPolicyUsesTheCallingThreadsWorkspace) {
-  const ExecPolicy serial = ExecPolicy::serial();
-  RunWorkspace* mine = &RunWorkspace::current();
-  EXPECT_EQ(&serial.workspace(), mine);
-  {
-    WorkerScope scope(serial);
-    EXPECT_EQ(&serial.workspace(), mine);
-  }
-  ThreadPool pool(2);
-  const ExecPolicy pooled = ExecPolicy::pool(pool);
-  WorkerScope bound(pooled);
-  EXPECT_NE(&pooled.workspace(), mine);
-  WorkerScope scope(serial);  // binds nothing: the pool slot stays bound
-  EXPECT_EQ(&serial.workspace(), mine);
-  EXPECT_NE(&pooled.workspace(), mine);
-}
-
 TEST(ExecPolicy, PoolParForRunsEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   const ExecPolicy policy = ExecPolicy::pool(pool);
@@ -92,60 +71,25 @@ TEST(ExecPolicy, PoolParForRunsEveryIndexExactlyOnce) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-// The tentpole proof point: two suites on disjoint 2-thread pools, driven
-// concurrently from an outer pool, emit byte-for-byte the serial rows.
+// Two runners, each on the 2-thread pool it owns, driven concurrently from
+// an outer pool, emit byte-for-byte the serial rows.
 TEST(ExecPolicy, ConcurrentSuitesOnDisjointPoolsMatchSerialBytes) {
   const std::vector<ScenarioSpec> specs = small_specs();
-  const std::string serial = suite_jsonl(specs, ExecPolicy::serial());
+  const std::string serial = suite_jsonl(specs, /*threads=*/1);
   ASSERT_FALSE(serial.empty());
 
   ThreadPool outer(2);
-  ThreadPool pool_a(2);
-  ThreadPool pool_b(2);
-  const ExecPolicy policy_a = ExecPolicy::pool(pool_a);
-  const ExecPolicy policy_b = ExecPolicy::pool(pool_b);
-  const std::array<const ExecPolicy*, 2> policies = {&policy_a, &policy_b};
   std::array<std::string, 2> outputs;
   ExecPolicy::pool(outer).par_for(
-      0, policies.size(),
-      [&](std::size_t s) { outputs[s] = suite_jsonl(specs, *policies[s]); },
+      0, outputs.size(),
+      [&](std::size_t s) { outputs[s] = suite_jsonl(specs, /*threads=*/2); },
       /*grain=*/1);
 
   EXPECT_EQ(outputs[0], serial);
   EXPECT_EQ(outputs[1], serial);
 }
 
-// Each policy owns its workspace arena: slots observed under policy A are
-// never the slots observed under policy B, even while both run at once.
-TEST(ExecPolicy, PoliciesOwnDisjointWorkspaceArenas) {
-  ThreadPool outer(2);
-  ThreadPool pool_a(2);
-  ThreadPool pool_b(2);
-  const ExecPolicy policy_a = ExecPolicy::pool(pool_a);
-  const ExecPolicy policy_b = ExecPolicy::pool(pool_b);
-  const std::array<const ExecPolicy*, 2> policies = {&policy_a, &policy_b};
-  std::mutex mu;
-  std::array<std::set<const RunWorkspace*>, 2> seen;
-
-  ExecPolicy::pool(outer).par_for(
-      0, policies.size(),
-      [&](std::size_t s) {
-        for (int round = 0; round < 8; ++round) {
-          policies[s]->par_for(0, 256, [&](std::size_t) {
-            const RunWorkspace* ws = &policies[s]->workspace();
-            std::lock_guard<std::mutex> lock(mu);
-            seen[s].insert(ws);
-          });
-        }
-      },
-      /*grain=*/1);
-
-  ASSERT_FALSE(seen[0].empty());
-  ASSERT_FALSE(seen[1].empty());
-  for (const RunWorkspace* ws : seen[0]) EXPECT_EQ(seen[1].count(ws), 0u);
-}
-
-// CL001 contract: nested frames on one thread share the worker's slot, so a
+// CL001 contract: nested frames on one thread share its workspace, so a
 // nested par_for body on the caller's thread sees the caller's workspace.
 TEST(ExecPolicy, NestedLoopsShareTheWorkerSlotPerThread) {
   ThreadPool pool(2);
@@ -160,27 +104,6 @@ TEST(ExecPolicy, NestedLoopsShareTheWorkerSlotPerThread) {
     });
   });
   EXPECT_EQ(mismatches.load(), 0);
-}
-
-TEST(ExecPolicy, WorkerScopeBindsAndRestores) {
-  ThreadPool pool_a(2);
-  ThreadPool pool_b(2);
-  const ExecPolicy a = ExecPolicy::pool(pool_a);
-  const ExecPolicy b = ExecPolicy::pool(pool_b);
-  {
-    WorkerScope scope_a(a);
-    RunWorkspace* wa = &a.workspace();
-    {
-      WorkerScope scope_b(b);  // different arena: rebinds to a fresh slot
-      EXPECT_NE(&b.workspace(), wa);
-    }
-    EXPECT_EQ(&a.workspace(), wa);  // previous binding restored
-    {
-      WorkerScope again(a);  // same arena: nested scope shares the slot
-      EXPECT_EQ(&a.workspace(), wa);
-    }
-    EXPECT_EQ(&a.workspace(), wa);
-  }
 }
 
 }  // namespace

@@ -128,13 +128,10 @@ TEST(RunRecordTest, VictimErrIsPlayerZerosError) {
             *hijacked.outcome.victim_error);
   EXPECT_LE(record.value("victim_err").as_u64(),
             record.value("max_err").as_u64());
-  // A run without players has no player 0: the cell stays absent.
-  const SuiteRun empty = run_one("workload=uniform n=0 opt=0");
-  if (empty.status == RunStatus::kOk) {
-    const MetricSchema empty_schema = scenario_metric_schema(empty.scenario);
-    EXPECT_FALSE(
-        make_run_record(empty, empty_schema).value("victim_err").has_value());
-  }
+  // A run without players has no player 0 and no row: resolve rejects n=0.
+  EXPECT_THROW((void)Scenario::resolve(
+                   ScenarioSpec::parse("workload=uniform n=0 opt=0")),
+               ScenarioError);
   // A diagnostic: declared, but not one of the default columns.
   ASSERT_NE(schema.find("victim_err"), nullptr);
   EXPECT_EQ(schema.find("victim_err")->origin, "diagnostic");
@@ -308,27 +305,37 @@ TEST(SummaryAggregation, MeanMinMaxOverSyntheticRecords) {
   schema.add({"u", MetricType::kU64, "", "test"});
   schema.add({"d", MetricType::kF64, "", "test"});
   schema.add({"s", MetricType::kString, "", "test"});
+  MetricSpec historical{"h", MetricType::kF64, "", "test"};
+  historical.f64_format = F64Format::kHistorical;
+  schema.add(historical);
   std::vector<RunRecord> cell;
   const std::uint64_t us[] = {1, 2, 4};
   const double ds[] = {0.5, 1.5, 2.5};
+  const double hs[] = {1.0, 1.0, 2.0};
   for (int i = 0; i < 3; ++i) {
     RunRecord r(&schema);
     r.set_u64("u", us[i]);
     r.set_f64("d", ds[i]);
     r.set_string("s", "same");
+    r.set_f64("h", hs[i]);
     cell.push_back(std::move(r));
   }
 
   const MetricSchema mean_schema = summarized_schema(schema, SummaryStat::kMean);
   EXPECT_EQ(mean_schema.spec(0).type, MetricType::kF64);  // u64 widens
+  // A mean keeps every digit, also of a column whose per-run cells keep
+  // the 6-digit historical spelling.
+  EXPECT_EQ(mean_schema.spec(3).f64_format, F64Format::kRoundTrip);
   const RunRecord mean =
       summarize_records(mean_schema, cell, SummaryStat::kMean);
   EXPECT_DOUBLE_EQ(mean.value("u").as_f64(), 7.0 / 3.0);
   EXPECT_DOUBLE_EQ(mean.value("d").as_f64(), 1.5);
   EXPECT_EQ(mean.value("s").as_string(), "same");  // non-numeric: first value
+  EXPECT_EQ(mean.cell_text(3), format_metric_double(4.0 / 3.0));
 
   const MetricSchema mm_schema = summarized_schema(schema, SummaryStat::kMin);
   EXPECT_EQ(mm_schema.spec(0).type, MetricType::kU64);  // min/max keep types
+  EXPECT_EQ(mm_schema.spec(3).f64_format, F64Format::kHistorical);
   const RunRecord min = summarize_records(mm_schema, cell, SummaryStat::kMin);
   EXPECT_EQ(min.value("u").as_u64(), 1u);
   EXPECT_DOUBLE_EQ(min.value("d").as_f64(), 0.5);

@@ -124,6 +124,22 @@ TEST(Scenario, ResolveRejectsAZeroBudget) {
   EXPECT_EQ(Scenario::resolve(ScenarioSpec::parse("budget=1")).budget, 1u);
 }
 
+TEST(Scenario, ResolveRejectsZeroPlayers) {
+  // n=0 has no run to score; every workload must reject it at plan time
+  // rather than print an ok row over no players.
+  for (const std::string& name : WorkloadRegistry::instance().names()) {
+    try {
+      (void)Scenario::resolve(
+          ScenarioSpec::parse("workload=" + name + " n=0 opt=0"));
+      ADD_FAILURE() << "expected ScenarioError for workload " << name;
+    } catch (const ScenarioError& e) {
+      EXPECT_STREQ(e.what(), "override 'n=0': expected a positive integer")
+          << name;
+    }
+  }
+  EXPECT_EQ(Scenario::resolve(ScenarioSpec::parse("n=1")).n, 1u);
+}
+
 TEST(Scenario, ResolveRejectsZeroRepeatAndFinalistCounts) {
   // SmallRadius asserts a candidate per repeat (sr_repeats, the robust
   // wrapper's reps) and a finalist to play (sr_max_finalists); resolve must

@@ -11,7 +11,6 @@
 
 #include "src/common/csv.hpp"
 #include "src/common/exec_policy.hpp"
-#include "src/common/thread_pool.hpp"
 #include "src/common/workspace.hpp"
 
 namespace colscore {
@@ -96,52 +95,38 @@ TEST(SuiteRunner, ParallelGridIsByteIdenticalToSerial) {
   EXPECT_EQ(serial, parallel_again);
 }
 
-TEST(SuiteRunner, ExplicitPolicyMatchesThreadsDispatch) {
-  // options.policy is the seam for callers that own their pool; it must
-  // produce the same bytes as the threads-based dispatch it overrides.
-  const std::string grid = "adversary=none,sleeper x algorithm=calc";
-  const std::string serial = grid_csv(small_base(), grid, /*threads=*/1);
-
-  ThreadPool pool(3);
-  const ExecPolicy policy = ExecPolicy::pool(pool);
-  std::ostringstream out;
-  CsvWriter writer(out, default_columns());
-  SuiteOptions options;
-  options.policy = &policy;
-  options.threads = 7;  // must be ignored in favour of the explicit policy
-  options.on_result = [&](const SuiteRun& run) {
-    writer.row(suite_row_cells(run));
-  };
-  SuiteRunner runner(options);
-  runner.run_grid(small_base(), grid);
-  EXPECT_EQ(serial, out.str());
-}
-
 TEST(SuiteRunner, SerialSweepReleasesTheCallersWorkspace) {
-  // A serial sweep scratches in the calling thread's workspace and hands
-  // the buffers back when it ends, also when its sink throws, so a later
-  // sweep's memory does not depend on the ones before it.
+  // Every thread of a sweep scratches in its own workspace, and the
+  // caller's holds no buffers once the sweep ends, also when its sink
+  // throws, so a later sweep's memory does not depend on the ones before
+  // it. Over 8 runs a 2-thread sweep has the caller claim runs too.
   const RunWorkspace& mine = RunWorkspace::current();
-  std::size_t in_use = 0;
-  SuiteOptions options;
-  options.threads = 1;
-  options.on_result = [&](const SuiteRun&) {
-    in_use = mine.cp_candidates.size();
-  };
-  SuiteRunner(options).run_grid(small_base(), "adversary=none,sleeper");
-  EXPECT_GT(in_use, 0u);
-  EXPECT_EQ(mine.cp_candidates.capacity(), 0u);
-  EXPECT_TRUE(mine.cp_z.empty());
+  const std::string grid = "adversary=none,sleeper x seed=1,2,3,4";
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(threads);
+    // on_result runs on the thread that just finished a run, so that
+    // thread's own workspace is in use.
+    std::size_t in_use = 0;
+    SuiteOptions options;
+    options.threads = threads;
+    options.on_result = [&](const SuiteRun&) {
+      in_use = std::max(in_use, RunWorkspace::current().cp_candidates.size());
+    };
+    EXPECT_EQ(SuiteRunner(options).run_grid(small_base(), grid).size(), 8u);
+    EXPECT_GT(in_use, 0u);
+    EXPECT_EQ(mine.cp_candidates.capacity(), 0u);
+    EXPECT_TRUE(mine.cp_z.empty());
 
-  in_use = 0;
-  options.on_result = [&](const SuiteRun&) {
-    in_use = mine.cp_candidates.size();
-    throw std::runtime_error("sink died");
-  };
-  EXPECT_THROW(SuiteRunner(options).run_grid(small_base(), "seed=1,2"),
-               std::runtime_error);
-  EXPECT_GT(in_use, 0u);
-  EXPECT_EQ(mine.cp_candidates.capacity(), 0u);
+    in_use = 0;
+    options.on_result = [&](const SuiteRun&) {
+      in_use = RunWorkspace::current().cp_candidates.size();
+      throw std::runtime_error("sink died");
+    };
+    EXPECT_THROW(SuiteRunner(options).run_grid(small_base(), grid),
+                 std::runtime_error);
+    EXPECT_GT(in_use, 0u);
+    EXPECT_EQ(mine.cp_candidates.capacity(), 0u);
+  }
 }
 
 TEST(SuiteRunner, StreamsResultsInIndexOrder) {

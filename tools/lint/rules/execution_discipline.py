@@ -1,16 +1,18 @@
 """CL012: no ambient execution state in library code.
 
 PR 9 threaded an explicit ExecPolicy through every parallel loop: a policy
-names where a loop runs (serial, or a pool its caller owns) and owns the
-workspace arena its workers bind, which is what lets two SuiteRunners on
-disjoint pools execute concurrently and still emit byte-identical rows.
-There is no process-wide pool; the ambient spellings --
-ThreadPool::global(), a free parallel_for, RunWorkspace::current() -- would
-reach execution state through process globals instead, silently re-coupling
-concurrent suites and bypassing policy-owned scratch.  The rule keeps all
-three from coming back: library code takes an ExecPolicy (usually via
-ProtocolEnv) and uses policy.par_for / policy.workspace(); the per-thread
-workspace fallback survives only in the files that define it.
+names where a loop runs (serial, or a pool its caller owns), which is what
+lets two SuiteRunners on disjoint pools execute concurrently and still emit
+byte-identical rows.  There is no process-wide pool; the ambient spellings
+-- ThreadPool::global(), a free parallel_for -- would reach execution state
+through process globals instead, silently re-coupling concurrent suites.
+Scratch belongs to the executing thread, but it is still spelled through
+the policy (policy.workspace() / env.workspace()), so every protocol reads
+its workspace the one way the CL001 group contract is written against;
+RunWorkspace::current() appears only where it is defined and in the one
+file that forwards to it.  WorkerScope binds nothing any more and lives on
+only for the bench/e2e replay of run_scenario; outside its declaring header
+it gains no users.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from __future__ import annotations
 from typing import List
 
 from engine import Diagnostic, LintContext, Rule, SourceFile, make_diag
+
+_WORKER_SCOPE_HEADER = "src/common/exec_policy.hpp"
 
 
 def _check_ambient_execution(sf: SourceFile,
@@ -48,18 +52,24 @@ def _check_ambient_execution(sf: SourceFile,
         elif tok.text == "current" and qual == "RunWorkspace" and nxt == "(":
             out.append(make_diag(
                 RULE_AMBIENT_EXECUTION, sf, tok.line, tok.col,
-                "RunWorkspace::current() bypasses the policy-owned arena; "
-                "use policy.workspace() (or env.workspace()) so concurrent "
-                "suites never alias scratch buffers"))
+                "RunWorkspace::current() in library code; spell scratch "
+                "policy.workspace() (or env.workspace()), the one access path "
+                "the workspace group contract is written against"))
+        elif tok.text == "WorkerScope" \
+                and sf.effective_path != _WORKER_SCOPE_HEADER:
+            out.append(make_diag(
+                RULE_AMBIENT_EXECUTION, sf, tok.line, tok.col,
+                "WorkerScope binds nothing -- scratch belongs to the thread; "
+                "it survives only for the bench/e2e replay, so delete the use"))
     return out
 
 
 RULE_AMBIENT_EXECUTION = Rule(
     rule_id="CL012",
     slug="ambient-execution",
-    description="No ThreadPool::global(), free parallel_for(), or "
-                "RunWorkspace::current() in library code -- execution and "
-                "scratch flow through an explicit ExecPolicy "
+    description="No ThreadPool::global(), free parallel_for(), "
+                "RunWorkspace::current() or WorkerScope in library code -- "
+                "execution and scratch flow through an explicit ExecPolicy "
                 "(policy.par_for / policy.workspace), keeping concurrent "
                 "suites on disjoint pools fully independent.",
     hint="thread a 'const ExecPolicy&' parameter (default "
@@ -67,8 +77,7 @@ RULE_AMBIENT_EXECUTION = Rule(
          "ProtocolEnv's policy via env.par_for / env.workspace()",
     check=_check_ambient_execution,
     scope=("src/",),
-    exclude=("src/common/exec_policy.hpp", "src/common/exec_policy.cpp",
-             "src/common/thread_pool.hpp", "src/common/thread_pool.cpp",
+    exclude=("src/common/exec_policy.cpp", "src/common/thread_pool.hpp",
              "src/common/workspace.cpp"),
 )
 
