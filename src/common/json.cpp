@@ -75,8 +75,14 @@ class Parser {
     skip_ws();
     if (done()) fail("unexpected end of document");
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxJsonDepth)
+        fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
+      ++depth_;
+      JsonValue v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       JsonValue v;
       v.kind = JsonValue::Kind::kString;
@@ -211,6 +217,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // arrays and objects open around pos_
 };
 
 }  // namespace

@@ -51,7 +51,13 @@ struct JsonValue {
   const char* kind_name() const;
 };
 
-/// Parses exactly one JSON document (trailing non-whitespace is an error).
+/// The deepest nesting of arrays and objects json_parse accepts. The parser
+/// recurses once per level, so an unbounded depth lets a hostile file
+/// overflow the stack; no suite file or result row nests deeper than 3.
+inline constexpr std::size_t kMaxJsonDepth = 64;
+
+/// Parses exactly one JSON document (trailing non-whitespace is an error;
+/// so is nesting deeper than kMaxJsonDepth).
 JsonValue json_parse(std::string_view text);
 
 /// Escapes `s` as a JSON string literal, including the surrounding quotes.

@@ -56,7 +56,9 @@ class ThreadPool {
 /// rest of the tree reaches wall time only through colscore::Timer.
 /// Sleeping occupies the calling pool worker; that is the documented cost of
 /// retrying a failed run in place (ordered emission needs the run finished
-/// on its claimed index anyway). No-op for seconds <= 0.
+/// on its claimed index anyway). No-op for seconds <= 0; sleeps whole
+/// microseconds, and a wait longer than kMaxDurationSeconds * 2^20 (the
+/// longest retry backoff) is cut to that.
 void sleep_for_seconds(double seconds);
 
 // Library code does not drive a pool directly: parallel loops run through an

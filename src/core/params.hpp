@@ -3,12 +3,17 @@
 // The paper states constants asymptotically (sample rate 10 ln n / D, edge
 // threshold 220 ln n, SmallRadius diameter 20 ln n, ...). At laptop-scale n
 // the literal constants saturate (220 ln n can exceed the sample size), so
-// the practical preset rescales them while preserving the *relative*
-// calibration the lemmas rely on:
+// the practical preset rescales them, aiming at the *relative* calibration
+// the lemmas rely on:
 //     expected close-pair sample distance  (= sample_rate_c * ln n)
 //   < edge threshold                       (= graph_tau_c   * ln n)
-//   < expected far-pair sample distance    (>= 3 * sample_rate_c * ln n
-//                                             for pairs >= 3D apart).
+//   < expected far-pair sample distance    (= c * sample_rate_c * ln n
+//                                             for pairs c*D apart).
+// At the practical constants (10 and 30) the last inequality needs c > 3,
+// not c >= 3 as in Lemma 6: a pair 3D apart has the threshold as its
+// expected sample distance, and 47% of such pairs keep their edge (n = 4096,
+// D = 256). By c = 6 none do (test_clustering's
+// SampledDistanceSeparatesCloseFromFarPairs).
 // `Params::paper()` keeps the literal constants for asymptotic fidelity.
 #pragma once
 

@@ -22,11 +22,11 @@ std::size_t parse_index(const std::string& token, const std::string& text) {
   return static_cast<std::size_t>(*index);
 }
 
-/// Strict non-negative seconds ("0.5", "2").
+/// Strict seconds in [0, kMaxDurationSeconds] ("0.5", "2").
 double parse_seconds(const std::string& token, const std::string& text) {
-  const std::optional<double> seconds = parse_strict_f64(text);
-  if (!seconds || *seconds < 0)
-    bad_token(token, "'" + text + "' is not a non-negative duration");
+  const std::optional<double> seconds = parse_duration_seconds(text);
+  if (!seconds)
+    bad_token(token, duration_error("the delay", text));
   return *seconds;
 }
 

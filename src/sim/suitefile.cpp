@@ -55,14 +55,13 @@ std::uint64_t require_integer(const std::string& origin, const char* key,
   return *out;
 }
 
-/// A non-negative number ("0.25", "3"); doubles are fine here (durations),
-/// unlike require_integer's count-valued keys.
-double require_number(const std::string& origin, const char* key,
-                      const JsonValue& v) {
+/// A duration in seconds ("0.25", "3") within [0, kMaxDurationSeconds];
+/// doubles are fine here, unlike require_integer's count-valued keys.
+double require_seconds(const std::string& origin, const char* key,
+                       const JsonValue& v) {
   if (!v.is_number()) wrong_type(origin, key, "a number", v);
-  if (v.number < 0)
-    fail(origin, std::string("\"") + key + "\" must be non-negative (got " +
-                     v.text + ")");
+  if (!in_duration_range(v.number))
+    fail(origin, duration_error(std::string("\"") + key + "\"", v.text));
   return v.number;
 }
 
@@ -216,16 +215,16 @@ SuiteFile parse_suite_file(std::string_view json_text, std::string origin) {
           require_integer(file.origin, "retries", value));
     } else if (key == "timeout_s") {
       file.options.timeout_s =
-          require_number(file.origin, "timeout_s", value);
+          require_seconds(file.origin, "timeout_s", value);
     } else if (key == "backoff_s") {
       file.options.backoff_s =
-          require_number(file.origin, "backoff_s", value);
+          require_seconds(file.origin, "backoff_s", value);
     } else if (key == "faults") {
       file.faults = require_string(file.origin, "faults", value);
       try {
         (void)FaultPlan::parse(file.faults);
       } catch (const ScenarioError& e) {
-        fail(file.origin, e.what());
+        fail(file.origin, std::string("\"faults\": ") + e.what());
       }
     }
   }

@@ -14,6 +14,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #if defined(COLSCORE_CLI_PATH) && defined(COLSCORE_SOURCE_DIR) && \
     defined(__unix__)
@@ -153,14 +155,31 @@ TEST(CliFrontEnd, NegativeThreadCountPrintsUsage) {
   EXPECT_EQ(result.err.find("aborted"), std::string::npos) << result.err;
 }
 
-TEST(CliFrontEnd, OverCapThreadCountFailsByName) {
-  // The cap is checked while parsing arguments, before any pool is built,
-  // so no worker is started for an over-cap count.
-  const CliResult result = cli("--threads 1025 --n 32 --budget 4 --no-opt");
-  EXPECT_EQ(result.exit_code, 2) << result.err;
-  EXPECT_NE(result.err.find("--threads must be at most 1024 (got 1025)"),
-            std::string::npos)
-      << result.err;
+TEST(CliFrontEnd, OverCapInputsFailByName) {
+  // Each cap is checked before the value is used: no pool is built for an
+  // over-cap thread count, no sleep converts an over-cap duration (1e300 s
+  // overflows sleep_for's integer ticks), and no parse recurses past the
+  // JSON depth cap (200,000 nested brackets overflow an uncapped parser's
+  // stack, exit 139).
+  const std::string deep_suite = temp_path("cli_deep.json");
+  const std::string deep_rows = temp_path("cli_deep.jsonl");
+  const std::string opens(200000, '['), closes(200000, ']');
+  std::ofstream(deep_suite) << "{\"base\": " << opens << closes << "}";
+  std::ofstream(deep_rows) << opens << closes << "\n";
+  const std::string run = " --grid 'n=48' --budget 4 --no-opt --sink jsonl";
+  for (const auto& [args, needle] : std::vector<std::pair<std::string, std::string>>{
+           {"--threads 1025" + run, "--threads must be at most 1024 (got 1025)"},
+           {"--retries 1 --backoff-s 1e300" + run,
+            "--backoff-s must be a number of seconds in [0, 86400] (got 1e300)"},
+           {"--faults 'delay@0=1e300x1'" + run, "'delay@0=1e300x1'"},
+           {"--suite " + deep_suite, "json: nesting deeper than 64 at line 1:"},
+           {"--resume " + deep_rows + run, "resume '" + deep_rows + "': line 1:"}}) {
+    const CliResult result = cli(args);
+    EXPECT_EQ(result.exit_code, 2) << args << "\n" << result.err;
+    EXPECT_NE(result.err.find(needle), std::string::npos) << result.err;
+  }
+  std::remove(deep_suite.c_str());
+  std::remove(deep_rows.c_str());
 }
 
 TEST(CliFrontEnd, ZeroBudgetFailsTheGridAtPlanTime) {

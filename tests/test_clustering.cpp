@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/bitmatrix.hpp"
+#include "src/common/mathutil.hpp"
+#include "src/core/params.hpp"
 #include "src/model/generators.hpp"
 
 namespace colscore {
@@ -39,6 +42,43 @@ TEST(NeighborGraph, EdgesRespectThreshold) {
   EXPECT_FALSE(g.has_edge(0, 0));  // no self loops
   EXPECT_EQ(g.degree(0), 1u);
   EXPECT_EQ(g.degree(2), 0u);
+}
+
+TEST(NeighborGraph, SampledDistanceSeparatesCloseFromFarPairs) {
+  // Lemma 6 at the practical constants, with the sample and the edge
+  // threshold calculate_preferences uses at diameter guess D: each object
+  // joins S with probability min(1, sample_rate_c ln n / D), and a pair
+  // keeps its edge while it differs on at most
+  // min(graph_tau_c ln n, graph_tau_sample_frac |S|) objects of S. Over
+  // 8192 objects the |S| cap stays above graph_tau_c ln n, doubled too.
+  // Pairs c*D apart: close ones (c = 1) must keep their edge and far ones
+  // (c = 6, 10) lose it. At c = 3 the threshold equals the mean
+  // (3 * sample_rate_c = graph_tau_c), and 47% of pairs land on the wrong
+  // side.
+  const Params params = Params::practical(8);
+  const std::size_t n = 4096, D = 256, n_objects = 8192, pairs = 200;
+  const double ln_n = ln_clamped(n);
+  const double rate = std::min(1.0, params.sample_rate_c * ln_n / static_cast<double>(D));
+  for (const std::size_t c : {1, 6, 10}) {
+    Rng rng(c * 1237);
+    std::vector<ObjectId> sample;
+    for (ObjectId o = 0; o < n_objects; ++o)
+      if (rng.chance(rate)) sample.push_back(o);
+    const auto tau = static_cast<std::size_t>(
+        std::min(params.graph_tau_c * ln_n,
+                 params.graph_tau_sample_frac * static_cast<double>(sample.size())));
+    // Row 2i is all zeros; row 2i+1 flips c*D distinct random objects.
+    BitMatrix z(2 * pairs, sample.size());
+    for (std::size_t i = 0; i < pairs; ++i) {
+      BitVector flipped(n_objects);
+      while (flipped.popcount() < c * D) flipped.set(rng.below(n_objects), true);
+      for (std::size_t j = 0; j < sample.size(); ++j)
+        z.set(2 * i + 1, j, flipped.get(sample[j]));
+    }
+    const NeighborGraph g(z, tau);
+    for (std::size_t i = 0; i < pairs; ++i)
+      EXPECT_EQ(g.has_edge(2 * i, 2 * i + 1), c == 1) << "c=" << c << " pair " << i;
+  }
 }
 
 TEST(NeighborGraph, SymmetricByConstruction) {

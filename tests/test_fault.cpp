@@ -47,7 +47,8 @@ TEST(FaultPlanParse, AcceptsTheDocumentedGrammar) {
 
 TEST(FaultPlanParse, NamesTheBadToken) {
   for (const char* bad : {"explode@3", "throw", "throw@x", "delay@3",
-                          "delay@3=abc", "sink@1x2", "throw@1x0"}) {
+                          "delay@3=abc", "sink@1x2", "throw@1x0",
+                          "delay@0=1e300x1", "delay@0=inf", "delay@0=-1"}) {
     try {
       (void)FaultPlan::parse(bad);
       FAIL() << "expected ScenarioError for: " << bad;

@@ -72,6 +72,17 @@ TEST(Json, RejectsMalformedDocuments) {
   EXPECT_THROW(json_parse("nope"), JsonError);
 }
 
+TEST(Json, NestingDeeperThanTheCapFails) {
+  // The parser recurses once per level: without the cap, 200,000 nested
+  // brackets in a suite file overflowed the stack.
+  for (const auto& [open, close] : {std::pair{"[", "]"}, std::pair{"{\"k\": ", "}"}}) {
+    std::string doc = "0";
+    for (std::size_t depth = 0; depth < kMaxJsonDepth; ++depth) doc = open + doc + close;
+    EXPECT_NO_THROW(json_parse(doc)) << open;
+    EXPECT_THROW(json_parse(open + doc + close), JsonError) << open;
+  }
+}
+
 TEST(Json, QuoteEscapesControlCharacters) {
   EXPECT_EQ(json_quote("plain"), "\"plain\"");
   EXPECT_EQ(json_quote("a\"b\\c"), "\"a\\\"b\\\\c\"");

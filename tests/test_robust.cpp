@@ -54,6 +54,27 @@ TEST(Robust, SurvivesDishonestLeadersViaRepetition) {
   EXPECT_LE(f.max_honest_error(r.result), 4 * D);
 }
 
+/// A dishonest leader's beacon: one constant seed for every phase, so every
+/// per-object vote assignment draws the same member pattern.
+struct ConstantBeacon final : RandomnessBeacon {
+  std::uint64_t seed_for(std::uint64_t) override { return 0xdeadULL; }
+  bool honest() const override { return false; }
+};
+
+TEST(Robust, ConstantDishonestBeaconKeepsErrorWithinFourD) {
+  // §7.1's biased beacon without grinding, over sleepers at the n/(3B)
+  // bound. The error reads 6, as it does with an honest beacon on this world.
+  const std::size_t n = 256, B = 8, D = 12;
+  RobustFixture f(planted_clusters(n, n, B, D, Rng(4242)));
+  Rng rng(7);
+  f.population.corrupt_random(n / (3 * B), rng,
+                              [] { return std::make_unique<Sleeper>(); });
+  ConstantBeacon beacon;
+  ProtocolEnv env(f.oracle, f.board, f.population, beacon, 5);
+  EXPECT_LE(f.max_honest_error(calculate_preferences(env, Params::practical(B), 6)),
+            4 * D);
+}
+
 TEST(Robust, CustomDishonestBeaconFactoryIsUsed) {
   const std::size_t n = 128, B = 4;
   RobustFixture f(planted_clusters(n, n, B, 8, Rng(4)));

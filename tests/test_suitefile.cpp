@@ -125,6 +125,20 @@ TEST(SuiteFile, WrongTypedValuesNameKeyAndKinds) {
   expect_parse_error(R"({"grids": [42]})", {"\"grids\" entries", "number"});
 }
 
+TEST(SuiteFile, RetryAndFaultKeysLandInTheOptions) {
+  const SuiteFile file = parse_suite_file(
+      R"({"retries": 2, "timeout_s": 1.5, "backoff_s": 0, "faults": "throw@1x1"})",
+      "faults.json");
+  EXPECT_EQ(file.options.retries, 2u);
+  EXPECT_EQ(file.options.timeout_s, 1.5);
+  EXPECT_EQ(file.options.backoff_s, 0.0);
+  EXPECT_EQ(file.faults, "throw@1x1");
+  expect_parse_error(R"({"timeout_s": -1})",
+                     {"\"timeout_s\" must be a number of seconds in [0, 86400] (got -1)"});
+  expect_parse_error(R"({"backoff_s": 1e300})", {"\"backoff_s\" must be a number"});
+  expect_parse_error(R"({"faults": "throw@x"})", {"\"faults\": fault spec token"});
+}
+
 TEST(SuiteFile, RepsAxisInsideAGridPointsAtTheTopLevelKey) {
   expect_parse_error(R"({"base": {"opt": false}, "grids": ["n=48 x reps=3"]})",
                      {"grid 1 sweeps 'reps'", "top-level \"reps\" key"});

@@ -184,8 +184,10 @@ int run(int argc, char** argv) {
       return static_cast<std::size_t>(*value);
     };
     auto next_seconds = [&]() -> double {
-      const std::optional<double> value = parse_strict_f64(next());
-      if (!value || *value < 0) usage(argv[0]);
+      const std::string text = next();
+      const std::optional<double> value = parse_duration_seconds(text);
+      if (!value)
+        throw ScenarioError(duration_error(arg, text));
       return *value;
     };
 
