@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdint>
 #include <exception>
 #include <memory>
-
-#include "src/common/strict_parse.hpp"
 
 namespace colscore {
 
@@ -125,17 +122,6 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                              [&] { return shared->in_flight.load() == 0; });
   }
   if (shared->error) std::rethrow_exception(shared->error);
-}
-
-void sleep_for_seconds(double seconds) {
-  if (!(seconds > 0)) return;
-  // Whole microseconds, cut at the longest wait the suite runner can ask
-  // for (the duration cap times its largest backoff factor, 2^20), so the
-  // conversion to an integer count stays in range; for 1e300 s it would be
-  // undefined.
-  constexpr double kLongestSleep = static_cast<double>(kMaxDurationSeconds) * 0x1p20;
-  std::this_thread::sleep_for(std::chrono::microseconds(
-      static_cast<std::int64_t>(std::min(seconds, kLongestSleep) * 1e6)));
 }
 
 }  // namespace colscore

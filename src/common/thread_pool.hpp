@@ -50,17 +50,6 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Blocking sleep, used by the suite runner's retry backoff and the fault
-/// plan's injected delays. Lives with the pool so blocking-wait machinery
-/// (and the <thread> include) stays confined to the threading layer — the
-/// rest of the tree reaches wall time only through colscore::Timer.
-/// Sleeping occupies the calling pool worker; that is the documented cost of
-/// retrying a failed run in place (ordered emission needs the run finished
-/// on its claimed index anyway). No-op for seconds <= 0; sleeps whole
-/// microseconds, and a wait longer than kMaxDurationSeconds * 2^20 (the
-/// longest retry backoff) is cut to that.
-void sleep_for_seconds(double seconds);
-
 // Library code does not drive a pool directly: parallel loops run through an
 // explicit ExecPolicy (exec_policy.hpp) over a pool some caller owns — a
 // suite, a test, a bench — and there is no process-wide pool.

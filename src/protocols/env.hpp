@@ -8,8 +8,6 @@
 // independent of thread scheduling.
 #pragma once
 
-#include <atomic>
-
 #include "src/board/bulletin_board.hpp"
 #include "src/board/probe_oracle.hpp"
 #include "src/board/shared_random.hpp"
@@ -114,16 +112,6 @@ struct ProtocolEnv {
 
   std::size_t n_players() const { return oracle.n_players(); }
   std::size_t n_objects() const { return oracle.n_objects(); }
-
-  /// Unique phase key for a fresh top-level protocol invocation. Board
-  /// channels are tag-scoped, so distinct invocations sharing one env must
-  /// not reuse keys; orchestration code calls this once per invocation.
-  std::uint64_t fresh_phase() {
-    return mix_keys(0xF0E5EEDULL, phase_counter.fetch_add(1, std::memory_order_relaxed));
-  }
-
- private:
-  std::atomic<std::uint64_t> phase_counter{1};
 };
 
 }  // namespace colscore

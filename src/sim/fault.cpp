@@ -3,7 +3,6 @@
 #include <csignal>
 
 #include "src/common/strict_parse.hpp"
-#include "src/common/thread_pool.hpp"
 
 namespace colscore {
 
@@ -11,8 +10,7 @@ namespace {
 
 [[noreturn]] void bad_token(const std::string& token, const std::string& why) {
   throw ScenarioError("fault spec token '" + token + "': " + why +
-                      "; expected throw@I[xA], delay@I=S[xA], sink@W, or "
-                      "kill@I");
+                      "; expected throw@I, sink@W, or kill@I");
 }
 
 /// Strict non-negative integer ("3"; not "", "-1", "3.5").
@@ -20,24 +18,6 @@ std::size_t parse_index(const std::string& token, const std::string& text) {
   const std::optional<std::uint64_t> index = parse_strict_u64(text);
   if (!index) bad_token(token, "'" + text + "' is not a non-negative integer");
   return static_cast<std::size_t>(*index);
-}
-
-/// Strict seconds in [0, kMaxDurationSeconds] ("0.5", "2").
-double parse_seconds(const std::string& token, const std::string& text) {
-  const std::optional<double> seconds = parse_duration_seconds(text);
-  if (!seconds)
-    bad_token(token, duration_error("the delay", text));
-  return *seconds;
-}
-
-/// Splits a trailing xA attempt count off `text` ("5x2" -> ("5", 2)).
-std::size_t take_attempts(const std::string& token, std::string& text) {
-  const std::size_t x = text.rfind('x');
-  if (x == std::string::npos) return 0;
-  const std::size_t attempts = parse_index(token, text.substr(x + 1));
-  if (attempts == 0) bad_token(token, "xA attempt count must be positive");
-  text = text.substr(0, x);
-  return attempts;
 }
 
 }  // namespace
@@ -59,31 +39,12 @@ FaultPlan FaultPlan::parse(std::string_view text) {
     if (at == std::string::npos || at == 0 || at + 1 >= token.size())
       bad_token(token, "missing '@INDEX'");
     const std::string kind = token.substr(0, at);
-    std::string rest = token.substr(at + 1);
-
     FaultSpec spec;
-    if (kind == "throw") {
-      spec.kind = FaultKind::kThrow;
-      spec.attempts = take_attempts(token, rest);
-      spec.index = parse_index(token, rest);
-    } else if (kind == "delay") {
-      spec.kind = FaultKind::kDelay;
-      const std::size_t eq = rest.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 >= rest.size())
-        bad_token(token, "delay needs '=SECONDS'");
-      std::string secs = rest.substr(eq + 1);
-      spec.attempts = take_attempts(token, secs);
-      spec.seconds = parse_seconds(token, secs);
-      spec.index = parse_index(token, rest.substr(0, eq));
-    } else if (kind == "sink") {
-      spec.kind = FaultKind::kSinkFail;
-      spec.index = parse_index(token, rest);
-    } else if (kind == "kill") {
-      spec.kind = FaultKind::kKill;
-      spec.index = parse_index(token, rest);
-    } else {
-      bad_token(token, "unknown fault kind '" + kind + "'");
-    }
+    if (kind == "throw") spec.kind = FaultKind::kThrow;
+    else if (kind == "sink") spec.kind = FaultKind::kSinkFail;
+    else if (kind == "kill") spec.kind = FaultKind::kKill;
+    else bad_token(token, "unknown fault kind '" + kind + "'");
+    spec.index = parse_index(token, token.substr(at + 1));
     plan.specs_.push_back(spec);
   }
   return plan;
@@ -95,24 +56,15 @@ bool FaultPlan::has_sink_faults() const {
   return false;
 }
 
-void FaultPlan::before_attempt(std::size_t index, std::size_t attempt) const {
-  const auto applies = [&](const FaultSpec& spec) {
-    return spec.index == index &&
-           (spec.attempts == 0 || attempt < spec.attempts);
-  };
-  // Delays first (a delayed run can still throw), then the unrecoverable
-  // kinds: kill never returns, throw reports an injected failure.
-  for (const FaultSpec& spec : specs_)
-    if (spec.kind == FaultKind::kDelay && applies(spec))
-      sleep_for_seconds(spec.seconds);
+void FaultPlan::before_run(std::size_t index) const {
+  // Kill first: it never returns, while a throw reports an injected failure.
   for (const FaultSpec& spec : specs_)
     if (spec.kind == FaultKind::kKill && spec.index == index)
       std::raise(SIGKILL);
   for (const FaultSpec& spec : specs_)
-    if (spec.kind == FaultKind::kThrow && applies(spec))
+    if (spec.kind == FaultKind::kThrow && spec.index == index)
       throw FaultInjected("injected fault: throw at run " +
-                          std::to_string(index) + " attempt " +
-                          std::to_string(attempt));
+                          std::to_string(index));
 }
 
 void FaultPlan::before_sink_write(std::size_t write_index) const {

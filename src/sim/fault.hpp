@@ -1,20 +1,15 @@
 // Deterministic fault injection for the fault-tolerance machinery.
 //
-// Every recovery path in the suite runner — retry-after-throw, timeout
-// classification, graceful degradation to status/error rows, crash-durable
-// sinks, resume — is exercised by *injected* faults rather than trusted: a
-// FaultPlan names exact run indices (and optionally attempts) at which to
-// throw, delay, kill the process, or fail a sink write. Plans are parsed
-// from a spec string (`--faults` or a suite file's "faults" key), so the
-// same chaos scenario is reproducible byte-for-byte in tests, CI, and a
-// shell.
+// Every recovery path in the suite runner — graceful degradation of a
+// throwing run to a status/error row, crash-durable sinks, resume — is
+// exercised by *injected* faults rather than trusted: a FaultPlan names
+// exact run indices at which to throw or kill the process, or a sink write
+// at which to fail. Plans are parsed from a spec string (`--faults` or a
+// suite file's "faults" key), so the same chaos scenario is reproducible
+// byte-for-byte in tests, CI, and a shell.
 //
 // Spec grammar (comma-separated tokens):
-//   throw@I      every attempt of run index I throws FaultInjected
-//   throw@IxA    only the first A attempts throw (retries then succeed)
-//   delay@I=S    every attempt of run I sleeps S seconds first (pair with
-//                timeout_s to manufacture a deterministic timeout)
-//   delay@I=SxA  only the first A attempts are delayed
+//   throw@I      run index I throws FaultInjected
 //   sink@W       the W-th sink write (0-based, across the sink's lifetime)
 //                throws FaultInjected — simulates a dying output device
 //   kill@I       the process raises SIGKILL when run I starts (subprocess
@@ -35,24 +30,19 @@
 namespace colscore {
 
 /// Thrown by injected throw/sink faults. A distinct type so tests and logs
-/// can tell an injected failure from a real one; the retry machinery treats
-/// both identically (any exception fails the attempt).
+/// can tell an injected failure from a real one; the runner treats both
+/// identically (any exception fails the run).
 class FaultInjected : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
 
-enum class FaultKind { kThrow, kDelay, kSinkFail, kKill };
+enum class FaultKind { kThrow, kSinkFail, kKill };
 
 struct FaultSpec {
   FaultKind kind = FaultKind::kThrow;
-  /// Run index (throw/delay/kill) or 0-based sink write index (sink).
+  /// Run index (throw/kill) or 0-based sink write index (sink).
   std::size_t index = 0;
-  /// Attempts affected: 0 = every attempt; A = attempts 0..A-1 only (so
-  /// throw@3x1 fails the first attempt and a retry succeeds).
-  std::size_t attempts = 0;
-  /// Injected sleep for kDelay.
-  double seconds = 0.0;
 };
 
 class FaultPlan {
@@ -67,10 +57,9 @@ class FaultPlan {
   bool has_sink_faults() const;
   std::span<const FaultSpec> specs() const { return specs_; }
 
-  /// Runner hook, called before attempt `attempt` (0-based) of run `index`:
-  /// applies matching delays, then kill faults, then throws FaultInjected
-  /// for matching throw faults.
-  void before_attempt(std::size_t index, std::size_t attempt) const;
+  /// Runner hook, called before run `index` executes: raises SIGKILL for a
+  /// matching kill fault, then throws FaultInjected for a matching throw.
+  void before_run(std::size_t index) const;
 
   /// Sink hook: throws FaultInjected when `write_index` is targeted by a
   /// sink@ fault.

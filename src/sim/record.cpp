@@ -415,9 +415,9 @@ const MetricSchema& builtin_schema() {
          "worst error over the empirical OPT radius (0 when OPT is skipped)",
          F64Format::kHistorical);
     core("status", MetricType::kString,
-         "run completion status: ok, failed, timeout, or skipped");
+         "run completion status: ok, failed, or skipped");
     core("error", MetricType::kString,
-         "error that exhausted the run's retries (absent for ok runs)");
+         "the exception text a failed run threw (absent for ok runs)");
     core("wall_s", MetricType::kF64,
          "wall-clock seconds for the run (non-deterministic)",
          F64Format::kHistorical);
@@ -569,10 +569,10 @@ RunRecord make_run_record(const SuiteRun& run, const MetricSchema& schema) {
   record.set_size("rep", run.rep);
   record.set_string("status", run_status_name(run.status));
   if (!run.error.empty()) record.set_string("error", run.error);
-  // Failure rows carry identity + status/error only: a kFailed/kTimeout run
-  // has no outcome, and all-absent result cells are unambiguous in every
-  // sink (empty CSV cells, JSON null, SQL NULL) where zeros would read as
-  // a perfectly-scored run.
+  // Failure rows carry identity + status/error only: a kFailed run has no
+  // outcome, and all-absent result cells are unambiguous in every sink
+  // (empty CSV cells, JSON null, SQL NULL) where zeros would read as a
+  // perfectly-scored run.
   if (run.status != RunStatus::kOk) return record;
   record.set_size("max_err", out.error.max_error);
   record.set_f64("mean_err", out.error.mean_error);

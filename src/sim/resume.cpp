@@ -112,8 +112,10 @@ ResumePlan plan_resume(const PriorOutput& prior,
                           std::to_string(ri + 1) +
                           " does not correspond to any planned run — the "
                           "artifact belongs to a different suite");
-    // Only complete rows count; failed/timeout rows are re-run. Artifacts
-    // without a status column predate failure rows: every row is complete.
+    // Only "ok" rows count; any other status (failed, or the timeout that
+    // artifacts written before timeouts were removed may hold) is re-run.
+    // Artifacts without a status column predate failure rows: every row is
+    // complete.
     if (status_spec != nullptr && row.cell_text(status_col) != "ok") continue;
     if (plan.prior_row[it->second] == -1) ++plan.completed;
     plan.prior_row[it->second] = static_cast<std::ptrdiff_t>(ri);

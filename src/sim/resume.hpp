@@ -17,9 +17,10 @@
 // uninterrupted run would have produced (modulo wall_s, which re-runs
 // honestly re-measure).
 //
-// Failure rows (status failed/timeout) and a truncated text tail (a final
-// line without its newline — the one write a crash can cut mid-row) are
-// treated as not-computed and re-run with their original seeds.
+// Rows whose status is not ok (failed, or an older artifact's timeout) and
+// a truncated text tail (a final line without its newline — the one write a
+// crash can cut mid-row) are treated as not-computed and re-run with their
+// original seeds.
 #pragma once
 
 #include <cstddef>

@@ -8,7 +8,6 @@
 #include "src/common/exec_policy.hpp"
 #include "src/common/strict_parse.hpp"
 #include "src/common/thread_pool.hpp"
-#include "src/common/timer.hpp"
 #include "src/common/workspace.hpp"
 #include "src/sim/fault.hpp"
 
@@ -94,7 +93,6 @@ const char* run_status_name(RunStatus status) {
   switch (status) {
     case RunStatus::kOk: return "ok";
     case RunStatus::kFailed: return "failed";
-    case RunStatus::kTimeout: return "timeout";
     case RunStatus::kSkipped: return "skipped";
   }
   return "?";
@@ -134,8 +132,7 @@ std::pair<std::size_t, std::size_t> parse_shard(std::string_view text) {
 std::size_t suite_failure_count(std::span<const SuiteRun> runs) {
   std::size_t failures = 0;
   for (const SuiteRun& run : runs)
-    if (run.status == RunStatus::kFailed || run.status == RunStatus::kTimeout)
-      ++failures;
+    if (run.status == RunStatus::kFailed) ++failures;
   return failures;
 }
 
@@ -229,43 +226,19 @@ void SuiteRunner::execute(std::vector<SuiteRun>& runs) const {
       complete(i);
       return;
     }
-    // Run isolation: each attempt is try/caught and timed; a throw or a
-    // blown wall-clock budget fails the attempt, backs off exponentially,
-    // and retries with the identical scenario/seed. Exhausted retries leave
-    // a kFailed/kTimeout run that still streams — one bad cell no longer
-    // aborts a thousand-run sweep.
-    for (std::size_t attempt = 0;; ++attempt) {
-      if (attempt > 0)
-        sleep_for_seconds(options_.backoff_s *
-                          static_cast<double>(1ULL << std::min<std::size_t>(
-                                                  attempt - 1, 20)));
-      run.attempts = attempt + 1;
-      Timer timer;
-      try {
-        if (options_.faults != nullptr)
-          options_.faults->before_attempt(i, attempt);
-        run.outcome = run_scenario(run.scenario, policy);
-        run.status = RunStatus::kOk;
-        run.error.clear();
-      } catch (const std::exception& e) {
-        run.status = RunStatus::kFailed;
-        run.error = e.what();
-        run.outcome = ExperimentOutcome{};
-      } catch (...) {
-        run.status = RunStatus::kFailed;
-        run.error = "unknown error";
-        run.outcome = ExperimentOutcome{};
-      }
-      if (run.status == RunStatus::kOk && options_.timeout_s > 0 &&
-          timer.seconds() > options_.timeout_s) {
-        // Post-hoc classification: the work finished but blew its budget;
-        // discard the outcome so a timeout row never smuggles in results.
-        run.status = RunStatus::kTimeout;
-        run.error = "run exceeded timeout_s=" +
-                    std::to_string(options_.timeout_s);
-        run.outcome = ExperimentOutcome{};
-      }
-      if (run.status == RunStatus::kOk || attempt >= options_.retries) break;
+    // Run isolation: a throw fails only this run. It streams as a kFailed
+    // row with the error text, and one bad cell does not abort a
+    // thousand-run sweep.
+    run.attempts = 1;
+    try {
+      if (options_.faults != nullptr) options_.faults->before_run(i);
+      run.outcome = run_scenario(run.scenario, policy);
+    } catch (const std::exception& e) {
+      run.status = RunStatus::kFailed;
+      run.error = e.what();
+    } catch (...) {
+      run.status = RunStatus::kFailed;
+      run.error = "unknown error";
     }
     complete(i);
   };

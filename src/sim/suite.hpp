@@ -9,6 +9,11 @@
 // a parallel suite produces output byte-identical to a serial one. Every
 // thread of a sweep scratches in its own RunWorkspace, and none keeps that
 // scratch once the sweep ends.
+//
+// Each planned run executes once. Every random draw it makes derives from
+// its seed, so running it again would throw again: a throw becomes a failed
+// row (status + error) and the sweep goes on. Re-running failed rows is
+// resume's job (src/sim/resume.hpp), after whatever made them fail is fixed.
 #pragma once
 
 #include <cstdint>
@@ -56,14 +61,14 @@ std::size_t take_reps_axis(std::vector<GridAxis>& axes);
 
 // ---- the runner -------------------------------------------------------------
 
-/// How a run ended. kOk rows carry the full outcome; kFailed/kTimeout rows
-/// carry only identity columns plus the error text (graceful degradation —
-/// the suite keeps going and the exit path reports the failure count);
-/// kSkipped marks runs this invocation never executed (outside the shard, or
-/// already complete in a resumed artifact).
-enum class RunStatus { kOk, kFailed, kTimeout, kSkipped };
+/// How a run ended. kOk rows carry the full outcome; kFailed rows carry only
+/// identity columns plus the error text (graceful degradation — the suite
+/// keeps going and the exit path reports the failure count); kSkipped marks
+/// runs this invocation never executed (outside the shard, or already
+/// complete in a resumed artifact).
+enum class RunStatus { kOk, kFailed, kSkipped };
 
-/// "ok", "failed", "timeout", "skipped" — the status column's cell text.
+/// "ok", "failed", "skipped" — the status column's cell text.
 const char* run_status_name(RunStatus status);
 
 struct SuiteRun {
@@ -73,10 +78,10 @@ struct SuiteRun {
   Scenario scenario;       // resolved config the run actually executed
   ExperimentOutcome outcome;
   RunStatus status = RunStatus::kOk;
-  /// Last attempt's error for kFailed/kTimeout (empty otherwise). May embed
-  /// wall-clock text; failure rows are for triage/resume, not goldens.
+  /// What a kFailed run threw (empty otherwise). Failure rows are for
+  /// triage and resume, not goldens.
   std::string error;
-  /// Attempts executed (1 = first try succeeded; 0 = never ran).
+  /// 1 when the run executed, 0 when it never ran.
   std::size_t attempts = 0;
 };
 
@@ -106,18 +111,6 @@ struct SuiteOptions {
   /// no re-delivery of already-streamed runs) and the exception propagates.
   std::function<void(const SuiteRun&)> on_result;
 
-  // ---- run isolation (fault tolerance) --------------------------------------
-  /// Extra attempts after a failed/timed-out first try. The run's seed and
-  /// scenario are identical on every attempt; only transient faults
-  /// (injected or environmental) can change the result.
-  std::size_t retries = 0;
-  /// Per-run wall-clock budget in seconds; 0 disables. Classification is
-  /// post-hoc (the run is not preempted): an attempt whose wall time exceeds
-  /// the budget counts as kTimeout, its outcome is discarded, and it is
-  /// retried like a throw.
-  double timeout_s = 0.0;
-  /// Delay before retry attempt k (1-based): backoff_s * 2^(k-1) seconds.
-  double backoff_s = 0.05;
   /// Shard shard_index of shard_count: only the contiguous index block
   /// shard_range(total, i, k) executes and streams; everything else is
   /// marked kSkipped and never emitted. Seeds derive from the *global* flat
@@ -140,8 +133,7 @@ std::pair<std::size_t, std::size_t> shard_range(std::size_t total,
 /// i >= k.
 std::pair<std::size_t, std::size_t> parse_shard(std::string_view text);
 
-/// Runs that exhausted their retries (status kFailed or kTimeout) — the
-/// suite exit code's input.
+/// Runs that threw (status kFailed) — the suite exit code's input.
 std::size_t suite_failure_count(std::span<const SuiteRun> runs);
 
 class SuiteRunner {
@@ -154,8 +146,9 @@ class SuiteRunner {
   /// runs kSkipped, and hands the vector to execute().
   std::vector<SuiteRun> plan(const std::vector<ScenarioSpec>& specs) const;
 
-  /// Executes a plan() vector in place: retry/timeout/fault handling per
-  /// run, ordered streaming through on_result, shard selection. Runs
+  /// Executes a plan() vector in place: each run executes once (a throw
+  /// makes it a kFailed row and the sweep goes on), streams in order through
+  /// on_result, and only the shard's runs take part. Runs
   /// pre-marked kSkipped are not executed but still stream (resume
   /// substitution); sharding trims which indices participate at all.
   /// Releases the calling thread's workspace on return, so it is not called

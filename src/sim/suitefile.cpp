@@ -15,10 +15,9 @@ namespace colscore {
 namespace {
 
 constexpr const char* kAcceptedKeys[] = {
-    "name",      "description", "base",    "grids",   "reps",
-    "threads",   "sink",        "output",  "wall",    "derive_seeds",
-    "columns",   "summary",     "retries", "timeout_s", "backoff_s",
-    "faults",
+    "name",    "description", "base",   "grids", "reps",
+    "threads", "sink",        "output", "wall",  "derive_seeds",
+    "columns", "summary",     "faults",
 };
 
 [[noreturn]] void fail(const std::string& origin, const std::string& what) {
@@ -53,16 +52,6 @@ std::uint64_t require_integer(const std::string& origin, const char* key,
     fail(origin, std::string("\"") + key + "\" must be a non-negative "
                      "integer (got " + v.text + ")");
   return *out;
-}
-
-/// A duration in seconds ("0.25", "3") within [0, kMaxDurationSeconds];
-/// doubles are fine here, unlike require_integer's count-valued keys.
-double require_seconds(const std::string& origin, const char* key,
-                       const JsonValue& v) {
-  if (!v.is_number()) wrong_type(origin, key, "a number", v);
-  if (!in_duration_range(v.number))
-    fail(origin, duration_error(std::string("\"") + key + "\"", v.text));
-  return v.number;
 }
 
 /// One base-spec value: strings verbatim, numbers by source spelling,
@@ -210,15 +199,6 @@ SuiteFile parse_suite_file(std::string_view json_text, std::string origin) {
       } catch (const ScenarioError& e) {
         fail(file.origin, e.what());
       }
-    } else if (key == "retries") {
-      file.options.retries = static_cast<std::size_t>(
-          require_integer(file.origin, "retries", value));
-    } else if (key == "timeout_s") {
-      file.options.timeout_s =
-          require_seconds(file.origin, "timeout_s", value);
-    } else if (key == "backoff_s") {
-      file.options.backoff_s =
-          require_seconds(file.origin, "backoff_s", value);
     } else if (key == "faults") {
       file.faults = require_string(file.origin, "faults", value);
       try {

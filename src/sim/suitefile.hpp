@@ -32,11 +32,10 @@
 // ("mean"/"min"/"max": one aggregated row per grid cell instead of one row
 // per rep).
 //
-// Fault tolerance knobs (see SuiteOptions in suite.hpp): "retries" (extra
-// attempts per failed/timed-out run), "timeout_s" (per-run wall-clock
-// budget; post-hoc classification), "backoff_s" (base of the exponential
-// retry delay), and "faults" (a deterministic FaultPlan spec string for
-// chaos tests — validated at parse time like everything else).
+// "faults" is a deterministic FaultPlan spec string for chaos tests
+// (src/sim/fault.hpp), validated at parse time like everything else. No key
+// retries or times out a run: a run is a pure function of its seed, so a
+// failed row is re-run by resuming the artifact.
 //
 // All validation errors are ScenarioErrors prefixed "suite file 'PATH':"
 // and name the offending key, so a typo in a checked-in suite fails the CI
@@ -69,8 +68,8 @@ struct SuiteFile {
   ScenarioSpec base;
   /// Parsed grids, in file order. Empty = one run of `base` per rep.
   std::vector<std::vector<GridAxis>> grids;
-  /// Runner settings: "reps", "threads", "derive_seeds", "retries",
-  /// "timeout_s", "backoff_s" (a caller may also set the shard).
+  /// Runner settings: "reps", "threads", "derive_seeds" (a caller may also
+  /// set the shard).
   /// run_suite_file replaces options.faults and options.on_result with the
   /// plan parsed from `faults` and its sink stream.
   SuiteOptions options;

@@ -3,10 +3,11 @@
 // through run_suite_file, so: a suite file and the same sweep spelled as a
 // --grid give identical bytes on every text sink; --shard outputs
 // concatenate to the unsharded rows; --resume merges a fault-injected grid
-// artifact back to the clean bytes; a malformed numeric flag prints the
-// usage text instead of reaching the runner; an invalid grid cell fails
-// the sweep at plan time; and a cell whose world cannot be built fails its
-// own row while the rest of the sweep runs.
+// artifact back to the clean bytes; a malformed numeric flag or an unknown
+// flag prints the usage text instead of reaching the runner; an input past
+// a cap, or a fault the run cannot apply, fails by name; an invalid grid
+// cell fails the sweep at plan time; and a cell whose world cannot be built
+// fails its own row while the rest of the sweep runs.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -130,7 +131,7 @@ TEST(CliFrontEnd, ResumeMergesAFaultInjectedGridArtifact) {
   const std::string faulty = temp_path("cli_resume_faulty.jsonl");
   ASSERT_EQ(cli("--sink jsonl --out " + clean + kSmokeGrid).exit_code, 0);
 
-  // Two runs fail for good: the sweep finishes with failure rows, exit 1.
+  // Two runs throw: the sweep finishes with failure rows, exit 1.
   const CliResult first = cli("--sink jsonl --out " + faulty +
                               " --faults 'throw@2,throw@5'" + kSmokeGrid);
   EXPECT_EQ(first.exit_code, 1) << first.err;
@@ -146,21 +147,27 @@ TEST(CliFrontEnd, ResumeMergesAFaultInjectedGridArtifact) {
   std::remove(faulty.c_str());
 }
 
-TEST(CliFrontEnd, NegativeThreadCountPrintsUsage) {
+TEST(CliFrontEnd, BadFlagsPrintUsage) {
   // std::stoull wraps "-1" to 2^64-1; the strict parser rejects it before
-  // it can size a thread pool.
-  const CliResult result = cli("--threads -1 --n 32 --budget 4 --no-opt");
-  EXPECT_EQ(result.exit_code, 2);
-  EXPECT_NE(result.out.find("usage:"), std::string::npos) << result.out;
-  EXPECT_EQ(result.err.find("aborted"), std::string::npos) << result.err;
+  // it can size a thread pool. There are no retry or timeout flags (a run
+  // is a pure function of its seed): they fail like any unknown flag.
+  for (const char* flag :
+       {"--threads -1", "--retries 1", "--timeout-s 1", "--backoff-s 0"}) {
+    const CliResult result =
+        cli(std::string(flag) + " --n 32 --budget 4 --no-opt");
+    EXPECT_EQ(result.exit_code, 2) << flag;
+    EXPECT_NE(result.out.find("usage:"), std::string::npos) << result.out;
+    EXPECT_EQ(result.err.find("aborted"), std::string::npos) << result.err;
+  }
 }
 
-TEST(CliFrontEnd, OverCapInputsFailByName) {
+TEST(CliFrontEnd, BadInputsFailByName) {
   // Each cap is checked before the value is used: no pool is built for an
-  // over-cap thread count, no sleep converts an over-cap duration (1e300 s
-  // overflows sleep_for's integer ticks), and no parse recurses past the
-  // JSON depth cap (200,000 nested brackets overflow an uncapped parser's
-  // stack, exit 139).
+  // over-cap thread count, and no parse recurses past the JSON depth cap
+  // (200,000 nested brackets overflow an uncapped parser's stack, exit 139).
+  // A fault the run cannot apply is named too: a delay@ kind or an xA
+  // attempt suffix (a run executes once), and a sink@ fault on the
+  // human-readable report, which has no sink to fail.
   const std::string deep_suite = temp_path("cli_deep.json");
   const std::string deep_rows = temp_path("cli_deep.jsonl");
   const std::string opens(200000, '['), closes(200000, ']');
@@ -169,9 +176,10 @@ TEST(CliFrontEnd, OverCapInputsFailByName) {
   const std::string run = " --grid 'n=48' --budget 4 --no-opt --sink jsonl";
   for (const auto& [args, needle] : std::vector<std::pair<std::string, std::string>>{
            {"--threads 1025" + run, "--threads must be at most 1024 (got 1025)"},
-           {"--retries 1 --backoff-s 1e300" + run,
-            "--backoff-s must be a number of seconds in [0, 86400] (got 1e300)"},
-           {"--faults 'delay@0=1e300x1'" + run, "'delay@0=1e300x1'"},
+           {"--faults 'delay@0=1'" + run, "fault spec token 'delay@0=1'"},
+           {"--faults 'throw@1x1'" + run, "fault spec token 'throw@1x1'"},
+           {"--grid 'n=48 x seed=1,2' --budget 4 --no-opt --faults sink@0",
+            "sink@ faults fail a sink write"},
            {"--suite " + deep_suite, "json: nesting deeper than 64 at line 1:"},
            {"--resume " + deep_rows + run, "resume '" + deep_rows + "': line 1:"}}) {
     const CliResult result = cli(args);

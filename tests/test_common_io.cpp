@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <sstream>
 
 #include "src/common/csv.hpp"
@@ -137,13 +136,6 @@ TEST(ProtocolEnv, LocalRngStableAcrossCalls) {
   Rng d = h.env.local_rng(0, 43);
   EXPECT_NE(a(), c());
   EXPECT_NE(b(), d());
-}
-
-TEST(ProtocolEnv, FreshPhaseNeverRepeats) {
-  testutil::Harness h(identical_clusters(2, 4, 1, Rng(4)));
-  std::set<std::uint64_t> seen;
-  for (int i = 0; i < 100; ++i) seen.insert(h.env.fresh_phase());
-  EXPECT_EQ(seen.size(), 100u);
 }
 
 TEST(ProtocolEnv, SharedRngComesFromBeacon) {

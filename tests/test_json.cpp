@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace colscore {
 namespace {
 
@@ -47,6 +51,7 @@ TEST(Json, ObjectMembersPreserveOrderAndRejectDuplicates) {
 }
 
 TEST(Json, UnicodeEscapesDecodeToUtf8) {
+  EXPECT_EQ(json_parse(R"("\b\f\r\t\/\n\"\\")").text, "\b\f\r\t/\n\"\\");
   EXPECT_EQ(json_parse("\"\\u0041\"").text, "A");
   EXPECT_EQ(json_parse("\"\\u00e9\"").text, "\xc3\xa9");    // é
   EXPECT_EQ(json_parse("\"\\u20ac\"").text, "\xe2\x82\xac");  // €
@@ -70,6 +75,24 @@ TEST(Json, RejectsMalformedDocuments) {
   EXPECT_THROW(json_parse("{\"a\" 1}"), JsonError);
   EXPECT_THROW(json_parse("12 34"), JsonError);  // trailing content
   EXPECT_THROW(json_parse("nope"), JsonError);
+  // Each string and number error names its cause.
+  for (const auto& [doc, message] : std::vector<std::pair<std::string, std::string>>{
+           {"\"ab\\", "unterminated escape"},
+           {"\"\\u12", "truncated \\u escape"},
+           {"\"\\u12g4\"", "non-hex digit in \\u escape"},
+           {"\"\\q\"", "unknown escape '\\q'"},
+           {"\"a\nb\"", "raw newline inside a string"},
+           {"-", "malformed number '-'"},
+           {"[1e]", "malformed number '1e'"}}) {
+    try {
+      (void)json_parse(doc);
+      ADD_FAILURE() << "expected JsonError for: " << doc;
+    } catch (const JsonError& e) {
+      EXPECT_NE(std::string(e.what()).find("json: " + message + " at line"),
+                std::string::npos)
+          << doc << ": " << e.what();
+    }
+  }
 }
 
 TEST(Json, NestingDeeperThanTheCapFails) {

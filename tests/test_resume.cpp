@@ -1,11 +1,13 @@
-// Crash/resume coverage — the PR's acceptance tests. A fault-injected suite
-// (throws + a timeout) degrades to failure rows and a nonzero failure count;
-// --resume re-runs exactly the failed rows and the merged artifact is
-// byte-identical to an uninterrupted run, for every file sink. A SIGKILLed
-// CLI subprocess leaves the durable PATH.tmp partial artifact, and resuming
-// it completes to the same bytes. Torn text tails, schema-mismatched sqlite
-// databases, and summarized artifacts are rejected with named errors, and
-// each sink's artifact reader names the line and token of a malformed row.
+// Crash/resume coverage. A fault-injected suite (three throwing runs)
+// degrades to failure rows and a nonzero failure count; --resume re-runs
+// exactly the failed rows and the merged artifact is byte-identical to an
+// uninterrupted run, for every file sink, with the default columns and with
+// a selection holding a bool column. A torn text tail and an older
+// artifact's timeout row are re-run the same way. A SIGKILLed CLI
+// subprocess leaves the durable PATH.tmp partial artifact, and resuming it
+// completes to the same bytes. Schema-mismatched sqlite databases and
+// summarized artifacts are rejected with named errors, and each sink's
+// artifact reader names the line and token of a malformed row.
 #include "src/sim/resume.hpp"
 
 #include <gtest/gtest.h>
@@ -54,44 +56,51 @@ std::string temp_path(const std::string& name) {
 }
 
 /// Runs the acceptance suite into `path` through `sink`, optionally fault
-/// injected, optionally resuming `resume_from`.
+/// injected, optionally resuming `resume_from`, optionally with a column
+/// selection.
 std::vector<SuiteRun> run_acceptance(const std::string& sink,
                                      const std::string& path,
                                      const std::string& faults = "",
-                                     const std::string& resume_from = "") {
+                                     const std::string& resume_from = "",
+                                     const std::vector<std::string>& columns = {}) {
   SuiteFile file = parse_suite_file(kSuiteText, "resume.json");
   file.sink = sink;
   file.output = path;
-  if (!faults.empty()) {
-    file.faults = faults;
-    file.options.timeout_s = 0.15;
-  }
+  file.faults = faults;
+  file.columns = columns;
   SuiteFileOverrides overrides;
   if (!resume_from.empty()) overrides.resume = resume_from;
   return run_suite_file(file, overrides);
 }
 
-/// The acceptance contract for one sink: 2 throws + 1 manufactured timeout
+/// The identity columns plus the bool diagnostic easy_case: resuming this
+/// selection decodes a bool cell through every sink's reader.
+const std::vector<std::string> kBoolColumns = {
+    "workload", "algorithm", "adversary", "n",         "budget", "diameter",
+    "dishonest", "seed",     "rep",       "easy_case", "status", "error"};
+
+/// The acceptance contract for one sink and column selection: 3 throws
 /// leave 15 ok rows + 3 failure rows and a nonzero failure count; resume
 /// re-runs only those 3 and the merged artifact is byte-identical to a
 /// clean run's.
 void check_sink_resume_equivalence(const std::string& sink,
-                                   const std::string& suffix) {
+                                   const std::string& suffix,
+                                   const std::vector<std::string>& columns) {
   const std::string clean = temp_path("resume_clean" + suffix);
   const std::string faulty = temp_path("resume_faulty" + suffix);
 
-  ASSERT_EQ(suite_failure_count(run_acceptance(sink, clean)), 0u);
+  ASSERT_EQ(suite_failure_count(run_acceptance(sink, clean, "", "", columns)),
+            0u);
 
   const std::vector<SuiteRun> first =
-      run_acceptance(sink, faulty, "throw@3,throw@11,delay@7=0.6");
+      run_acceptance(sink, faulty, "throw@3,throw@7,throw@11", "", columns);
   ASSERT_EQ(first.size(), 18u);
   EXPECT_EQ(suite_failure_count(first), 3u);
-  EXPECT_EQ(first[3].status, RunStatus::kFailed);
-  EXPECT_EQ(first[11].status, RunStatus::kFailed);
-  EXPECT_EQ(first[7].status, RunStatus::kTimeout);
+  for (const std::size_t i : {3u, 7u, 11u})
+    EXPECT_EQ(first[i].status, RunStatus::kFailed) << i;
 
   const std::vector<SuiteRun> second =
-      run_acceptance(sink, faulty, "", faulty);
+      run_acceptance(sink, faulty, "", faulty, columns);
   EXPECT_EQ(suite_failure_count(second), 0u);
   // Exactly the 3 failed runs re-ran; the 15 complete rows were replayed.
   std::size_t reran = 0;
@@ -102,6 +111,12 @@ void check_sink_resume_equivalence(const std::string& sink,
   EXPECT_EQ(read_file(faulty), read_file(clean)) << sink;
   std::remove(clean.c_str());
   std::remove(faulty.c_str());
+}
+
+void check_sink_resume_equivalence(const std::string& sink,
+                                   const std::string& suffix) {
+  check_sink_resume_equivalence(sink, suffix, {});
+  check_sink_resume_equivalence(sink, ".bool" + suffix, kBoolColumns);
 }
 
 TEST(ResumeEquivalence, JsonlMergesByteIdentical) {
@@ -118,31 +133,51 @@ TEST(ResumeEquivalence, SqliteMergesByteIdentical) {
 }
 #endif
 
-// ---- torn tails -------------------------------------------------------------
+// ---- damaged rows -----------------------------------------------------------
 
-TEST(ResumeTornTail, TruncatedJsonlLastLineIsReRun) {
-  const std::string path = temp_path("resume_torn.jsonl");
-  const std::string clean = temp_path("resume_torn_clean.jsonl");
+/// Replaces the one occurrence of `from` in `text` with `to`.
+void replace_once(std::string& text, const std::string& from,
+                  const std::string& to) {
+  const std::size_t at = text.find(from);
+  ASSERT_NE(at, std::string::npos) << from;
+  ASSERT_EQ(text.find(from, at + 1), std::string::npos) << from;
+  text.replace(at, from.size(), to);
+}
+
+TEST(ResumeDamage, TornTailAndTimeoutRowsAreReRun) {
+  const std::string path = temp_path("resume_damaged.jsonl");
+  const std::string clean = temp_path("resume_damaged_clean.jsonl");
   ASSERT_EQ(suite_failure_count(run_acceptance("jsonl", clean)), 0u);
-  ASSERT_EQ(suite_failure_count(run_acceptance("jsonl", path)), 0u);
 
   // Crash mid-write: chop the final row somewhere inside, newline lost.
-  const std::string full = read_file(path);
+  const std::string full = read_file(clean);
   const std::size_t cut = full.rfind('\n', full.size() - 2);
   ASSERT_NE(cut, std::string::npos);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << full.substr(0, cut + 1 + 20);  // 20 bytes of the torn row
-  }
+  const std::string torn = full.substr(0, cut + 1 + 20);  // 20 bytes of it
 
-  const std::vector<SuiteRun> resumed =
-      run_acceptance("jsonl", path, "", path);
-  EXPECT_EQ(suite_failure_count(resumed), 0u);
-  std::size_t reran = 0;
-  for (const SuiteRun& run : resumed)
-    if (run.status != RunStatus::kSkipped) ++reran;
-  EXPECT_EQ(reran, 1u);  // only the torn row
-  EXPECT_EQ(read_file(path), read_file(clean));
+  // A timeout row as binaries with post-hoc timeouts wrote it: identity
+  // cells, status "timeout", the error text, no results. Run 7's failure row
+  // differs from it only in the status and error cells.
+  ASSERT_EQ(suite_failure_count(run_acceptance("jsonl", path, "throw@7")), 1u);
+  std::string timeout = read_file(path);
+  replace_once(timeout, "\"status\":\"failed\"", "\"status\":\"timeout\"");
+  replace_once(timeout, "injected fault: throw at run 7",
+               "run exceeded timeout_s=0.150000");
+
+  for (const std::string& damaged : {torn, timeout}) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << damaged;
+    }
+    const std::vector<SuiteRun> resumed =
+        run_acceptance("jsonl", path, "", path);
+    EXPECT_EQ(suite_failure_count(resumed), 0u);
+    std::size_t reran = 0;
+    for (const SuiteRun& run : resumed)
+      if (run.status != RunStatus::kSkipped) ++reran;
+    EXPECT_EQ(reran, 1u);  // only the damaged row
+    EXPECT_EQ(read_file(path), read_file(clean));
+  }
   std::remove(path.c_str());
   std::remove(clean.c_str());
 }

@@ -106,6 +106,12 @@ TEST(SuiteFile, UnknownKeysAreRejectedWithTheAcceptedList) {
   // No salt key: the base "seed" already moves every derived seed.
   expect_parse_error(R"({"seed_salt": 7})",
                      {"unknown key \"seed_salt\"", "derive_seeds"});
+  // No retry or timeout keys: a run is a pure function of its seed, so a
+  // retry repeats its failure, and resume re-runs failed rows.
+  for (const char* key : {"retries", "timeout_s", "backoff_s"})
+    expect_parse_error("{\"" + std::string(key) + "\": 1}",
+                       {"unknown key \"" + std::string(key) + "\"",
+                        "accepted: name, description"});
 }
 
 TEST(SuiteFile, WrongTypedValuesNameKeyAndKinds) {
@@ -125,17 +131,10 @@ TEST(SuiteFile, WrongTypedValuesNameKeyAndKinds) {
   expect_parse_error(R"({"grids": [42]})", {"\"grids\" entries", "number"});
 }
 
-TEST(SuiteFile, RetryAndFaultKeysLandInTheOptions) {
-  const SuiteFile file = parse_suite_file(
-      R"({"retries": 2, "timeout_s": 1.5, "backoff_s": 0, "faults": "throw@1x1"})",
-      "faults.json");
-  EXPECT_EQ(file.options.retries, 2u);
-  EXPECT_EQ(file.options.timeout_s, 1.5);
-  EXPECT_EQ(file.options.backoff_s, 0.0);
-  EXPECT_EQ(file.faults, "throw@1x1");
-  expect_parse_error(R"({"timeout_s": -1})",
-                     {"\"timeout_s\" must be a number of seconds in [0, 86400] (got -1)"});
-  expect_parse_error(R"({"backoff_s": 1e300})", {"\"backoff_s\" must be a number"});
+TEST(SuiteFile, FaultsKeyIsValidatedAtParseTime) {
+  const SuiteFile file =
+      parse_suite_file(R"({"faults": "throw@1,sink@2"})", "faults.json");
+  EXPECT_EQ(file.faults, "throw@1,sink@2");
   expect_parse_error(R"({"faults": "throw@x"})", {"\"faults\": fault spec token"});
 }
 

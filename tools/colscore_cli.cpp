@@ -69,12 +69,9 @@ namespace {
       "                      --sink/--out/--threads override the file's choices\n"
       "  --threads T         suite worker threads (default: hardware; 1 = serial)\n"
       "  --raw-seeds         do not derive per-run seeds from the grid index\n"
-      "fault tolerance (a failed run becomes a status/error row; exit code 1):\n"
-      "  --retries N         extra attempts per failed/timed-out run (default 0)\n"
-      "  --timeout-s X       per-run wall-clock budget in seconds (0 = off);\n"
-      "                      classification is post-hoc, the run is not preempted\n"
-      "  --backoff-s X       retry k sleeps X*2^(k-1) seconds first (default 0.05)\n"
-      "  --faults SPEC       deterministic fault injection, e.g. \"throw@3,delay@7=1x2\"\n"
+      "fault tolerance (a run that throws becomes a status/error row; exit code 1):\n"
+      "  --faults SPEC       deterministic fault injection, e.g. \"throw@3,throw@7\";\n"
+      "                      sink@W needs a sink (--sink/--out)\n"
       "  --shard I/K         run only shard I of K (contiguous slice of the flat\n"
       "                      run-index space; per-run seeds are unchanged, so K\n"
       "                      shard outputs concatenate to the unsharded rows)\n"
@@ -117,11 +114,11 @@ void print_human(const SuiteRun& run, bool show_rep) {
   if (run.status != RunStatus::kOk) {
     std::printf(
         "%s/%s/%s n=%zu B=%zu D=%zu dishonest=%zu seed=%llu\n"
-        "  status=%s attempts=%zu error: %s\n",
+        "  status=%s error: %s\n",
         sc.workload.c_str(), sc.algorithm.c_str(), sc.adversary.c_str(), sc.n,
         sc.budget, sc.diameter, sc.dishonest,
         static_cast<unsigned long long>(sc.seed), run_status_name(run.status),
-        run.attempts, run.error.c_str());
+        run.error.c_str());
     return;
   }
   std::printf(
@@ -135,7 +132,7 @@ void print_human(const SuiteRun& run, bool show_rep) {
 }
 
 /// Exit status for a finished sweep: 0 when every run completed, 1 with a
-/// stderr summary when any run exhausted its retries.
+/// stderr summary when any run failed.
 int sweep_exit_code(const std::vector<SuiteRun>& runs) {
   const std::size_t failures = suite_failure_count(runs);
   if (failures == 0) return 0;
@@ -162,10 +159,10 @@ int run(int argc, char** argv) {
   bool spec_touched = false;
   bool list_columns = false;
 
-  // Runner flags (threads, retry policy, faults, shard) override the suite
-  // the other flags select, a --suite file's own settings included. That
-  // file loads only after every flag has been read, so each runner flag
-  // queues its write to the one SuiteFile field it sets.
+  // Runner flags (threads, faults, shard) override the suite the other
+  // flags select, a --suite file's own settings included. That file loads
+  // only after every flag has been read, so each runner flag queues its
+  // write to the one SuiteFile field it sets.
   std::vector<std::function<void(SuiteFile&)>> runner_flags;
 
   for (int i = 1; i < argc; ++i) {
@@ -182,13 +179,6 @@ int run(int argc, char** argv) {
       const std::optional<std::uint64_t> value = parse_strict_u64(next());
       if (!value) usage(argv[0]);
       return static_cast<std::size_t>(*value);
-    };
-    auto next_seconds = [&]() -> double {
-      const std::string text = next();
-      const std::optional<double> value = parse_duration_seconds(text);
-      if (!value)
-        throw ScenarioError(duration_error(arg, text));
-      return *value;
     };
 
     if (arg == "--workload") { spec_touched = true; spec.workload = next(); }
@@ -232,15 +222,6 @@ int run(int argc, char** argv) {
                             std::to_string(threads) + ")");
       runner_flags.push_back(
           [threads](SuiteFile& f) { f.options.threads = threads; });
-    } else if (arg == "--retries") {
-      runner_flags.push_back(
-          [n = next_size()](SuiteFile& f) { f.options.retries = n; });
-    } else if (arg == "--timeout-s") {
-      runner_flags.push_back(
-          [s = next_seconds()](SuiteFile& f) { f.options.timeout_s = s; });
-    } else if (arg == "--backoff-s") {
-      runner_flags.push_back(
-          [s = next_seconds()](SuiteFile& f) { f.options.backoff_s = s; });
     } else if (arg == "--faults") {
       runner_flags.push_back(
           [text = next()](SuiteFile& f) { f.faults = text; });
@@ -371,6 +352,10 @@ int run(int argc, char** argv) {
     throw ScenarioError(
         "--resume works on a sink artifact; pick the sink it was written "
         "with (--sink/--csv) and the destination (--out)");
+  if (faults.has_sink_faults())
+    throw ScenarioError(
+        "sink@ faults fail a sink write, and the human-readable report has "
+        "no sink; pick one with --sink/--out");
   runner.execute(runs);
   return sweep_exit_code(runs);
 }
