@@ -8,6 +8,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -169,10 +170,11 @@ class ProbeOracle {
 /// constructor reads p's truth over the whole universe once, uncharged;
 /// read(mask) returns the bits on `mask` and marks those coordinates seen;
 /// the destructor charges the seen coordinates in one counter round-trip,
-/// to honest players only. The bits are reachable only through read, so
-/// every coordinate a caller looks at is charged exactly once -- the bill of
-/// single probes behind a memo. The charge lands when the memo goes out of
-/// scope, so a kHard budget aborts iff the whole bill exceeds it.
+/// to honest players only. The bits are reachable only through read (and
+/// known, once read), so every coordinate a caller looks at is charged
+/// exactly once -- the bill of single probes behind a memo. The charge lands
+/// when the memo goes out of scope, so a kHard budget aborts iff the whole
+/// bill exceeds it.
 class ProbeMemo {
  public:
   ProbeMemo(ProbeOracle& oracle, PlayerId p, std::span<const ObjectId> objects,
@@ -193,6 +195,13 @@ class ProbeMemo {
   std::uint64_t read(std::uint64_t mask) {
     CS_ASSERT((mask & ~universe_) == 0, "probe memo: read outside the universe");
     seen_ |= mask;
+    return value_ & mask;
+  }
+
+  /// v(p) on `mask` if every coordinate of it has been read already, so
+  /// reading it again adds nothing to the bill; nullopt otherwise.
+  std::optional<std::uint64_t> known(std::uint64_t mask) const noexcept {
+    if ((mask & ~seen_) != 0) return std::nullopt;
     return value_ & mask;
   }
 

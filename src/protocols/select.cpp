@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <optional>
 
 #include "src/common/assert.hpp"
 #include "src/common/workspace.hpp"
@@ -16,8 +17,10 @@ namespace colscore {
 // charged once, together, when it ends. (The commonest shape, two
 // candidates one coordinate apart -- 44% of SmallRadius's calls on the
 // pinned 18-run grid -- no longer reaches a tournament: SmallRadius settles
-// it with select_forced.) Draw streams, probe charges, and elimination order
-// are identical to the general path.
+// it with select_forced.) A small play skips the draws of a pair its
+// player's own bits decide when they could add nothing to the bill; every
+// other draw, and every stream, probe charge and elimination, is the
+// general path's.
 SelectPlan::SelectPlan(std::span<const ConstBitRow> candidates,
                        std::span<const ObjectId> objects)
     : candidates_(candidates), objects_(objects) {
@@ -51,7 +54,13 @@ SelectPlan::SelectPlan(std::span<const ConstBitRow> candidates,
 ///
 /// A pair that differs in exactly one coordinate is forced: below(1) == 0
 /// under every stream, so all its draws are that coordinate and neither the
-/// key nor the stream is built.
+/// key nor the stream is built. In a small play, a pair on whose whole
+/// difference the player's bits side with one candidate is decided too: all
+/// t draws agree with that candidate, whatever the stream. The bill is the
+/// union of the coordinates drawn, so if the player has already read the
+/// whole difference, the draws cannot add to it and are not made. Draws are
+/// thus made only where they can change the outcome or the bill; streams,
+/// charges and elimination order are otherwise the general path's.
 struct SelectTournament {
   static SelectOutcome play(PlayerId p, const SelectPlan& plan, ProtocolEnv& env,
                             SelectKey& key, std::size_t probes_per_pair,
@@ -148,6 +157,12 @@ SelectOutcome SelectTournament::play_small(PlayerId p, const SelectPlan& plan,
       if (cnt == 1) {
         // Every draw is the one coordinate: all t agree with i, or none.
         if (t != 0 && memo.read(diffw) == (wi & diffw)) agree_i = t;
+      } else if (const std::optional<std::uint64_t> own = memo.known(diffw);
+                 own && (*own == (wi & diffw) || *own == (~wi & diffw))) {
+        // The whole difference is read already, so the draws cannot add to
+        // the bill, and v(p) sides with one candidate on all of it, so every
+        // draw agrees with that candidate: no draw is needed.
+        if (*own == (wi & diffw)) agree_i = t;
       } else {
         Rng stream =
             pair_stream(p, env, key, deterministic ? plan.hashes_ : nullptr, i, j);

@@ -40,9 +40,12 @@ struct SelectOutcome {
 };
 
 /// A tournament's phase key, given outright or as mix_keys(base, salt)
-/// mixed on first use. A pair whose candidates differ in one coordinate
-/// draws that coordinate under every stream, so many small tournaments never
-/// need their key; SmallRadius passes its per-player key in the lazy form.
+/// mixed on first use. Draws are made only where they can change a pair's
+/// outcome or the player's bill: a pair whose candidates differ in one
+/// coordinate draws that coordinate under every stream, and a small play
+/// skips the draws of a pair its player's bits decide once the player has
+/// read the pair's whole difference. So many small tournaments never need
+/// their key; SmallRadius passes its per-player key in the lazy form.
 class SelectKey {
  public:
   /*implicit*/ SelectKey(std::uint64_t key) noexcept : key_(key) {}

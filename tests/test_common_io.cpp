@@ -48,6 +48,12 @@ TEST(StrictParse, UnsignedRejectsAnythingButOneWholeInteger) {
   EXPECT_EQ(parse_strict_u64("18446744073709551616"), std::nullopt);  // 2^64
   EXPECT_EQ(parse_strict_u64("nan"), std::nullopt);
   EXPECT_EQ(parse_strict_u64("7 "), std::nullopt);
+  // stoull skips leading whitespace and takes a sign; the whole text must be
+  // digits.
+  EXPECT_EQ(parse_strict_u64(" 7"), std::nullopt);
+  EXPECT_EQ(parse_strict_u64("+1"), std::nullopt);
+  EXPECT_EQ(parse_strict_u64(" -1"), std::nullopt);  // would wrap to 2^64-1
+  EXPECT_EQ(parse_strict_u64("\t3"), std::nullopt);
 }
 
 TEST(StrictParse, DoubleTakesOneWholeNumberIncludingNonFinite) {
@@ -59,6 +65,8 @@ TEST(StrictParse, DoubleTakesOneWholeNumberIncludingNonFinite) {
   EXPECT_EQ(parse_strict_f64(""), std::nullopt);
   EXPECT_EQ(parse_strict_f64("0.5s"), std::nullopt);
   EXPECT_EQ(parse_strict_f64("1e999"), std::nullopt);  // out of range
+  EXPECT_EQ(parse_strict_f64(" 0.5"), std::nullopt);   // stod skips whitespace
+  EXPECT_EQ(parse_strict_f64("\t3"), std::nullopt);
   const std::optional<double> nan = parse_strict_f64("nan");
   ASSERT_TRUE(nan.has_value());
   EXPECT_TRUE(std::isnan(*nan));

@@ -5,14 +5,14 @@
 // Both must reproduce the Fig. 1 tournament exactly as the reference below
 // spells it out — one probe per first-seen coordinate, per-pair streams
 // keyed on content hashes (Select) or indices and local randomness
-// (RSelect), every draw made even when a pair differs in one coordinate —
-// in the chosen index, the probe and pair counts, and every player's
-// charges. The trials sweep k = 1..16 over 0..64 objects (the small plan)
-// plus wider universes (the general path), with duplicate candidates,
-// forced pairs and skip_below > 0, for honest and dishonest players under
-// both oracle budget modes. select_forced, the closed form SmallRadius uses
-// for forced plans, must agree with the small tournament on every forced
-// shape.
+// (RSelect), every draw made even when a pair differs in one coordinate or
+// the player's own bits already decide it — in the chosen index, the probe
+// and pair counts, and every player's charges. The trials sweep k = 1..16
+// over 0..64 objects (the small plan) plus wider universes (the general
+// path), with duplicate candidates, forced pairs, decided pairs and
+// skip_below > 0, for honest and dishonest players under both oracle budget
+// modes. select_forced, the closed form SmallRadius uses for forced plans,
+// must agree with the small tournament on every forced shape.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +29,8 @@ namespace {
 
 constexpr std::size_t kPlayers = 6;
 constexpr std::size_t kObjects = 160;
+
+constexpr std::size_t kHonest = 4;
 
 /// One oracle/env stack over a shared world; players 4 and 5 are dishonest.
 struct Stack {
@@ -57,6 +59,10 @@ struct Stack {
 struct Coverage {
   std::size_t pairs = 0;        // pairs probed
   std::size_t forced = 0;       // ... differing in exactly one coordinate
+  std::size_t decided = 0;      // ... in 2+ coordinates, on all of which the
+                                //     player's bits side with one candidate
+  std::size_t decided_read = 0;    // ... all of whose coordinates are probed
+  std::size_t decided_billed = 0;  // ... whose draws reach an unprobed one
   std::size_t identical = 0;    // pairs skipped as identical
   std::size_t skipped = 0;      // pairs skipped by skip_below > 0
   std::size_t prefilters = 0;   // prefilter rounds
@@ -84,6 +90,16 @@ SelectOutcome reference_tournament(PlayerId p, std::span<const ConstBitRow> cand
       if (!diff.empty() && diff.size() <= skip_below) ++coverage.skipped;
       if (diff.empty() || diff.size() <= skip_below) continue;
       if (diff.size() == 1) ++coverage.forced;
+      // Coverage only: whether v(p) sides with one candidate on the whole
+      // difference, read without a charge.
+      std::size_t own_agree = 0;
+      for (const std::size_t c : diff)
+        own_agree += env.oracle.adversary_peek(p, objects[c]) == cands[i].get(c);
+      const bool decided =
+          diff.size() >= 2 && (own_agree == 0 || own_agree == diff.size());
+      const bool all_read =
+          std::all_of(diff.begin(), diff.end(), [&](std::size_t c) { return probed[c] != 0; });
+      const std::size_t probes_before = out.probes;
       Rng stream = deterministic
                        ? Rng(mix_keys(key, cands[i].content_hash(), cands[j].content_hash()))
                        : env.local_rng(p, mix_keys(key, i * 1315423911ULL + j));
@@ -100,6 +116,9 @@ SelectOutcome reference_tournament(PlayerId p, std::span<const ConstBitRow> cand
       }
       ++out.pairs_probed;
       ++coverage.pairs;
+      coverage.decided += decided;
+      coverage.decided_read += decided && all_read;
+      coverage.decided_billed += decided && out.probes > probes_before;
       const std::size_t agree_j = t - agree_i;
       if (3 * agree_i >= 2 * t) {
         alive[j] = 0;
@@ -161,15 +180,17 @@ SelectOutcome reference_prefiltered(PlayerId p, std::span<const ConstBitRow> can
 // ---- random instances -------------------------------------------------------
 
 /// A candidate set over `nbits` scattered objects. Candidates stay close to
-/// each other (mostly 0-2 flips off player 0's truth), so duplicates and
-/// pairs differing in one coordinate are common.
+/// each other (mostly 0-2 flips off player `around`'s truth), so duplicates,
+/// pairs differing in one coordinate and pairs that player's bits decide are
+/// common.
 struct Instance {
   std::vector<ObjectId> objects;
   std::vector<BitVector> candidates;
   std::vector<ConstBitRow> views;
 };
 
-Instance random_instance(const World& world, std::size_t k, std::size_t nbits, Rng& rng) {
+Instance random_instance(const World& world, std::size_t k, std::size_t nbits, Rng& rng,
+                         PlayerId around = 0) {
   Instance inst;
   std::vector<ObjectId> all(kObjects);
   for (ObjectId o = 0; o < kObjects; ++o) all[o] = o;
@@ -177,7 +198,7 @@ Instance random_instance(const World& world, std::size_t k, std::size_t nbits, R
     std::swap(all[s], all[s + rng.below(kObjects - s)]);
   inst.objects.assign(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(nbits));
   if (rng.below(4) == 0) std::sort(inst.objects.begin(), inst.objects.end());
-  const BitVector base = world.matrix.row(0).gather(inst.objects);
+  const BitVector base = world.matrix.row(around).gather(inst.objects);
   for (std::size_t i = 0; i < k; ++i) {
     const std::uint64_t kind = rng.below(8);
     if (i > 0 && kind == 0) {
@@ -205,15 +226,17 @@ void expect_same(const SelectOutcome& got, const SelectOutcome& want, const char
 
 /// Runs `trials` random instances through the reference (on `ref`) and the
 /// planned tournament (on `got`), comparing every outcome and, at the end,
-/// every player's charges. Each instance's plan is built once and played by
-/// every player.
+/// every player's charges. Each instance is built around one honest
+/// player's truth, in turn, and its plan is built once and played by every
+/// player.
 void compare_trials(const World& world, Stack& ref, Stack& got, std::size_t trials,
                     std::uint64_t seed, bool wide) {
   Rng rng(seed);
   for (std::size_t trial = 0; trial < trials; ++trial) {
     const std::size_t k = 1 + rng.below(SelectPlan::kSmallK);
     const std::size_t nbits = wide ? 65 + rng.below(kObjects - 64) : rng.below(65);
-    const Instance inst = random_instance(world, k, nbits, rng);
+    const Instance inst =
+        random_instance(world, k, nbits, rng, static_cast<PlayerId>(trial % kHonest));
     const std::size_t per_pair = 1 + rng.below(14);
     const std::size_t skip = rng.below(3) == 0 ? 1 + rng.below(3) : 0;
     const std::size_t prefilter = 1 + rng.below(20);
@@ -257,6 +280,11 @@ TEST(SelectPlan, SmallPlansMatchReference) {
   EXPECT_GT(coverage.identical, 200u);
   EXPECT_GT(coverage.skipped, 50u);
   EXPECT_GT(coverage.prefilters, 200u);
+  // Decided pairs: the play skips the draws of those already read and must
+  // bill the draws of those that are not.
+  EXPECT_GT(coverage.decided, 2000u);
+  EXPECT_GT(coverage.decided_read, 1000u);
+  EXPECT_GT(coverage.decided_billed, 1000u);
   EXPECT_EQ(ref.oracle.probes_by(4), 0u);  // dishonest players peek for free
   EXPECT_GT(ref.oracle.probes_by(0), 0u);
 }
