@@ -97,13 +97,8 @@ SampleShareResult sample_and_share(ProtocolEnv& env, const SampleShareParams& pa
       env.oracle.probe_gather(p, sample, answers[p]);
     } else {
       Rng prng = env.local_rng(p, sample_channel);
-      for (std::size_t i = 0; i < t_size; ++i) {
-        // colscore-lint: allow(CL013) dishonest branch: the behaviour reports
-        // on the true bit, which the omniscient adversary of §2 reads free
-        const bool truth = env.oracle.adversary_peek(p, sample[i]);
-        answers[p].set(i, env.population.behavior(p).report(p, sample[i], truth, ctx,
-                                                             prng));
-      }
+      for (std::size_t i = 0; i < t_size; ++i)
+        answers[p].set(i, env.population.report_of(p, sample[i], env.oracle, ctx, prng));
     }
     env.board.post_vector(sample_channel, p, answers[p]);
   }

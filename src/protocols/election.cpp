@@ -82,9 +82,6 @@ ElectionResult feige_election(ProtocolEnv& env, std::uint64_t phase_key,
   std::vector<PlayerId> remaining(env.n_players());
   for (PlayerId p = 0; p < remaining.size(); ++p) remaining[p] = p;
 
-  const ReportContext ctx{Phase::kElection, phase_key};
-  (void)ctx;
-
   std::size_t round = 0;
   while (remaining.size() > 1 && round < params.max_rounds) {
     const std::uint64_t round_key = mix_keys(phase_key, 0xe1ec7ULL, round);

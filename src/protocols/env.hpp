@@ -90,6 +90,31 @@ struct ProtocolEnv {
     return WideProbeMemo(oracle, p, objects, population.is_honest(p), planes);
   }
 
+  /// Publishes one vector per author on board channel `channel` and returns
+  /// its ranking (take_support, which consumes the channel). Honest authors
+  /// post vectors[i], their protocol output, verbatim; a dishonest author
+  /// posts what its behaviour makes of it over `objects`, drawn from its
+  /// local stream for the channel. Posts are serial in `authors` order, so
+  /// the ranking's tie order is deterministic.
+  std::vector<BulletinBoard::SupportedVector> publish(
+      std::uint64_t channel, Phase phase, std::span<const PlayerId> authors,
+      std::span<const BitVector> vectors, std::span<const ObjectId> objects) {
+    const ReportContext ctx{phase, channel};
+    {
+      auto writer = board.vector_channel(channel);
+      for (std::size_t i = 0; i < authors.size(); ++i) {
+        const PlayerId a = authors[i];
+        if (population.is_honest(a)) {
+          writer.post(a, vectors[i]);
+          continue;
+        }
+        Rng rng = local_rng(a, channel);
+        writer.post(a, population.publication(a, vectors[i], objects, ctx, rng));
+      }
+    }
+    return board.take_support(channel);
+  }
+
   /// The executing thread's reusable scratch (see src/common/workspace.hpp
   /// for the group-aliasing contract).
   RunWorkspace& workspace() const { return policy.workspace(); }

@@ -100,25 +100,9 @@ SmallRadiusResult small_radius(std::span<const PlayerId> players,
       result.stats.zr.merge(zr_out.stats);
 
       // Publish outputs so support can be counted on the board (dishonest
-      // players may publish garbage here). Honest publications are the
-      // protocol output verbatim — no behaviour call, no RNG stream (an
-      // honest publication never draws from it).
-      const std::uint64_t channel = mix_keys(sub_key, 0xbea0ULL);
-      const ReportContext rctx{Phase::kSmallRadius, channel};
-      {
-        auto writer = env.board.vector_channel(channel);
-        for (std::size_t i = 0; i < players.size(); ++i) {
-          if (env.population.is_honest(players[i])) {
-            writer.post(players[i], zr_out.outputs[i]);
-            continue;
-          }
-          Rng prng = env.local_rng(players[i], channel);
-          writer.post(players[i],
-                      env.population.publication(players[i], zr_out.outputs[i],
-                                                 sub_objects, rctx, prng));
-        }
-      }
-      auto supported = env.board.take_support(channel);
+      // players may publish garbage here).
+      auto supported = env.publish(mix_keys(sub_key, 0xbea0ULL), Phase::kSmallRadius,
+                                   players, zr_out.outputs, sub_objects);
       std::vector<BitVector> ui;
       for (auto& sv : supported) {
         if (sv.support >= support_threshold) ui.push_back(std::move(sv.vector));

@@ -1,6 +1,8 @@
 #include "src/protocols/work_share.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <numeric>
 
 #include "src/common/assert.hpp"
 #include "src/common/workspace.hpp"
@@ -21,8 +23,10 @@ namespace colscore {
 // group) so back-to-back clusters and grid cells reuse them.
 BitVector cluster_votes(std::span<const PlayerId> members, ProtocolEnv& env,
                         std::uint64_t phase_key, const WorkShareParams& params,
-                        WorkShareStats* stats) {
+                        WorkShareStats* stats, std::span<const std::size_t> weights) {
   CS_ASSERT(!members.empty(), "cluster_votes: empty cluster");
+  CS_ASSERT(weights.empty() || weights.size() == members.size(),
+            "cluster_votes: one weight per member");
   const std::size_t n_objects = env.n_objects();
   const std::size_t k = params.votes_per_object;
   const std::size_t n_slots = n_objects * k;
@@ -30,15 +34,30 @@ BitVector cluster_votes(std::span<const PlayerId> members, ProtocolEnv& env,
 
   // Phase 1: derive the voter assignment and tie-break coins from the shared
   // randomness (with an honest beacon the adversary cannot aim its members
-  // at chosen objects). slot = object * k + vote_index.
+  // at chosen objects). slot = object * k + vote_index. Each vote draws one
+  // of `total` tickets; member m holds max(weights[m], 1) consecutive ones
+  // (prefix sums in `tickets`). Unweighted, ticket m is member m's only one.
+  std::vector<std::uint64_t> tickets(weights.size());
+  std::uint64_t total = members.size();
+  if (!weights.empty()) {
+    std::transform(weights.begin(), weights.end(), tickets.begin(),
+                   [](std::size_t w) { return std::max<std::uint64_t>(w, 1); });
+    std::partial_sum(tickets.begin(), tickets.end(), tickets.begin());
+    total = tickets.back();
+  }
   auto& voter_of = ws.vt_voter_of;
   auto& tie_coin = ws.vt_tie_coin;
   voter_of.resize(n_slots);
   tie_coin.resize(n_objects);
   env.par_for(0, n_objects, [&](std::size_t o) {
     Rng assign = env.shared_rng(mix_keys(phase_key, 0xa551ULL, o));
-    for (std::size_t v = 0; v < k; ++v)
-      voter_of[o * k + v] = static_cast<std::uint32_t>(assign.below(members.size()));
+    for (std::size_t v = 0; v < k; ++v) {
+      const std::uint64_t pick = assign.below(total);
+      voter_of[o * k + v] = static_cast<std::uint32_t>(
+          tickets.empty() ? pick
+                          : std::upper_bound(tickets.begin(), tickets.end(), pick) -
+                                tickets.begin());
+    }
     // Drawn unconditionally so the coin only depends on the assignment
     // stream position, not on whether a tie actually occurs.
     tie_coin[o] = (assign() & 1) != 0 ? 1 : 0;
@@ -127,6 +146,13 @@ BitVector cluster_votes(std::span<const PlayerId> members, ProtocolEnv& env,
     stats->ties += ties.load();
   }
   return prediction;
+}
+
+bool cluster_budget_ok(std::span<const std::size_t> budgets, std::size_t n_objects,
+                       std::size_t votes_per_object) {
+  const std::uint64_t total =
+      std::accumulate(budgets.begin(), budgets.end(), std::uint64_t{0});
+  return total >= static_cast<std::uint64_t>(n_objects) * votes_per_object;
 }
 
 }  // namespace colscore

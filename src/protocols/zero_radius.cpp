@@ -138,27 +138,10 @@ void cross_adopt(std::span<const PlayerId> learners,
                  const std::vector<BitVector>& publisher_outputs,
                  std::vector<BitVector>& learner_outputs, Ctx& ctx,
                  std::uint64_t channel, ZeroRadiusStats& stats) {
-  const ReportContext rctx{Phase::kZeroRadius, channel};
-  // Publications are serial so board ordering (and thus candidate order) is
-  // deterministic; adoption below is the expensive part and runs parallel.
-  // Honest players publish their protocol output verbatim, so the behaviour
-  // table (and its per-player RNG stream, which an honest publication never
-  // draws from) is only consulted for dishonest ones.
-  {
-    auto writer = ctx.env.board.vector_channel(channel);
-    for (std::size_t i = 0; i < publishers.size(); ++i) {
-      const PlayerId q = publishers[i];
-      if (ctx.env.population.is_honest(q)) {
-        writer.post(q, publisher_outputs[i]);
-        continue;
-      }
-      Rng prng = ctx.env.local_rng(q, channel);
-      writer.post(q, ctx.env.population.publication(q, publisher_outputs[i],
-                                                    objects, rctx, prng));
-    }
-  }
-
-  auto supported = ctx.env.board.take_support(channel);
+  // publish posts serially, so candidate order is deterministic; adoption
+  // below is the expensive part and runs parallel.
+  auto supported = ctx.env.publish(channel, Phase::kZeroRadius, publishers,
+                                   publisher_outputs, objects);
   const auto threshold = static_cast<std::size_t>(
       std::max(2.0, std::floor(static_cast<double>(publishers.size()) /
                                (kSupportDivisor *

@@ -536,12 +536,6 @@ MetricSchema scenario_metric_schema(const Scenario& scenario) {
   return schema;
 }
 
-MetricSchema suite_metric_schema(std::span<const Scenario> scenarios) {
-  MetricSchema schema = builtin_schema();
-  for (const Scenario& sc : scenarios) add_scenario_entry_metrics(schema, sc);
-  return schema;
-}
-
 MetricSchema suite_metric_schema(std::span<const ScenarioSpec> specs) {
   MetricSchema schema = builtin_schema();
   // Dedupe on the spelled names (aliases may resolve a representative

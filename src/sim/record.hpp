@@ -262,12 +262,9 @@ std::vector<std::string> default_columns(bool include_wall = false,
 MetricSchema scenario_metric_schema(const Scenario& scenario);
 
 /// Schema for a whole suite: core + diagnostics + the union of every
-/// scenario's entry-declared metrics, in first-seen order. Two entries may
+/// spec's entry-declared metrics, in first-seen order. Two entries may
 /// declare the same key with the same type (the first declaration's spec
-/// wins); conflicting types throw.
-MetricSchema suite_metric_schema(std::span<const Scenario> scenarios);
-
-/// Same union built straight from specs: the schema depends only on the
+/// wins); conflicting types throw. The schema depends only on the
 /// (workload, adversary, algorithm) triples, so this resolves one
 /// representative per distinct triple — O(distinct triples), not O(cells),
 /// for big grids. Resolution errors surface like Scenario::resolve.

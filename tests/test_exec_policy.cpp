@@ -33,11 +33,7 @@ std::vector<ScenarioSpec> small_specs() {
 /// Runs the pinned grid on `threads` and returns the typed-JSONL bytes.
 std::string suite_jsonl(const std::vector<ScenarioSpec>& specs,
                         std::size_t threads) {
-  const MetricSchema schema = [&] {
-    std::vector<Scenario> resolved;
-    for (const ScenarioSpec& s : specs) resolved.push_back(Scenario::resolve(s));
-    return suite_metric_schema(resolved);
-  }();
+  const MetricSchema schema = suite_metric_schema(specs);
   std::ostringstream out;
   SinkConfig config;
   config.stream = &out;

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "src/ext/hetero.hpp"
 #include "src/ext/scored.hpp"
+#include "src/protocols/work_share.hpp"
 #include "tests/test_util.hpp"
 
 namespace colscore {
@@ -10,7 +10,7 @@ namespace {
 using testutil::Harness;
 
 // ---------------------------------------------------------------------------
-// Heterogeneous budgets (§8).
+// Heterogeneous budgets (§8): budget-weighted cluster_votes.
 // ---------------------------------------------------------------------------
 
 TEST(Hetero, WeightedVotesCorrectOnIdentical) {
@@ -19,8 +19,8 @@ TEST(Hetero, WeightedVotesCorrectOnIdentical) {
   for (std::size_t i = 0; i < 8; ++i) budgets[i] = 10;  // 8 heavy lifters
   WorkShareParams params;
   params.votes_per_object = 9;
-  const BitVector prediction = weighted_cluster_votes(
-      h.all_players(), budgets, h.env, 1, params);
+  const BitVector prediction =
+      cluster_votes(h.all_players(), h.env, 1, params, nullptr, budgets);
   EXPECT_EQ(prediction, h.world.matrix.row(0));
 }
 
@@ -30,7 +30,9 @@ TEST(Hetero, ProbeLoadFollowsBudget) {
   for (std::size_t i = 0; i < 10; ++i) budgets[i] = 9;  // 9x budget
   WorkShareParams params;
   params.votes_per_object = 10;
-  weighted_cluster_votes(h.all_players(), budgets, h.env, 2, params);
+  cluster_votes(h.all_players(), h.env, 2, params, nullptr, budgets);
+  // Every vote slot is one charged probe by an honest voter.
+  EXPECT_EQ(h.env.oracle.total_probes(), 400u * 10u);
   // Big players carry ~9x the probes of small players (9*10 + 30 weight
   // units -> big: 400*10*9/120 = 300 expected, small: ~33).
   std::uint64_t big = 0, small = 0;
@@ -49,7 +51,7 @@ TEST(Hetero, WeightedVotesResistLiars) {
   WorkShareParams params;
   params.votes_per_object = 21;
   const BitVector prediction =
-      weighted_cluster_votes(h.all_players(), budgets, h.env, 3, params);
+      cluster_votes(h.all_players(), h.env, 3, params, nullptr, budgets);
   EXPECT_LE(prediction.hamming(h.world.matrix.row(0)), 5u);
 }
 
@@ -69,7 +71,7 @@ TEST(Hetero, DegenerateSingleMember) {
   const std::vector<std::size_t> budget{3};
   WorkShareParams params;
   params.votes_per_object = 3;
-  const BitVector prediction = weighted_cluster_votes(solo, budget, h.env, 4, params);
+  const BitVector prediction = cluster_votes(solo, h.env, 4, params, nullptr, budget);
   EXPECT_EQ(prediction, h.world.matrix.row(1));
 }
 

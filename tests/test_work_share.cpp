@@ -101,6 +101,23 @@ TEST(WorkShare, DeterministicForSameKey) {
   const BitVector a = cluster_votes(h1.all_players(), h1.env, 11, params);
   const BitVector b = cluster_votes(h2.all_players(), h2.env, 11, params);
   EXPECT_EQ(a, b);
+
+  // Unit weights (§8) draw exactly the unweighted voters: same prediction,
+  // same charge for every player, same reports.
+  Harness h3(planted_clusters(32, 64, 1, 6, Rng(10)));
+  const std::vector<std::size_t> unit(32, 1);
+  const BitVector c = cluster_votes(h3.all_players(), h3.env, 11, params, nullptr, unit);
+  EXPECT_EQ(a, c);
+  for (PlayerId p = 0; p < 32; ++p)
+    EXPECT_EQ(h1.env.oracle.probes_by(p), h3.env.oracle.probes_by(p)) << "player " << p;
+  EXPECT_EQ(h1.board.report_count(), h3.board.report_count());
+  const auto ra = h1.board.all_reports(11);
+  const auto rc = h3.board.all_reports(11);
+  ASSERT_EQ(ra.size(), rc.size());
+  for (std::size_t i = 0; i < ra.size(); ++i) {
+    EXPECT_EQ(ra[i].author, rc[i].author) << "slot " << i;
+    EXPECT_EQ(ra[i].value, rc[i].value) << "slot " << i;
+  }
 }
 
 TEST(WorkShare, SleeperLiesOnlyInVotePhase) {
